@@ -8,7 +8,7 @@ they hold analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exprlang
 from .exprlang import Expr

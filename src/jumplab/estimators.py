@@ -27,6 +27,7 @@ __all__ = [
     "GeneratorMartingaleReport",
     "LILReport",
     "martingale_test",
+    "martingale_series",
     "second_moment_identity",
     "qv_comparison",
     "apply_generator",
@@ -239,14 +240,30 @@ def _mean_se(samples, axis=0):
 
 def martingale_test(ensemble, t):
     """Per-coordinate z-test of ``E[X_t - x0] = 0``."""
+    return martingale_series(ensemble, [t])[0]
+
+
+def martingale_series(ensemble, times):
+    """:func:`martingale_test` at each of ``times``, in one pass.
+
+    Each path's displacements at all times come from a single
+    :func:`states_at` call; the reduction at ``times[j]`` sees exactly
+    the values a separate :func:`martingale_test` call would.
+    """
     paths = ensemble.paths
     if not paths:
         raise ValueError("empty ensemble")
-    deltas = np.array([states_at(p, [t])[0] - p.x0 for p in paths])
-    mean, se = _mean_se(deltas)
-    safe_se = np.where(se > 0, se, 1.0)
-    z = np.where(se > 0, mean / safe_se, 0.0)
-    return MartingaleReport(t, len(paths), mean, se, z)
+    # preallocated: stacking per-path arrays would hold the data twice
+    deltas = np.empty((len(times), len(paths), paths[0].d))
+    for k, p in enumerate(paths):
+        deltas[:, k] = states_at(p, times) - p.x0
+    reports = []
+    for t, delta in zip(times, deltas):
+        mean, se = _mean_se(delta)
+        safe_se = np.where(se > 0, se, 1.0)
+        z = np.where(se > 0, mean / safe_se, 0.0)
+        reports.append(MartingaleReport(t, len(paths), mean, se, z))
+    return reports
 
 
 def second_moment_identity(ensemble, kernel, t):
@@ -360,17 +377,19 @@ def generator_martingale_test(ensemble, kernel, u, t):
         u = TEST_FUNCTIONS[u]
     paths = ensemble.paths
     cache = {}
-
-    def lu(x):
-        key = tuple(np.round(x, 12))
-        if key not in cache:
-            cache[key] = apply_generator(kernel, u, x)
-        return cache[key]
-
     samples = []
     for p in paths:
         xt = states_at(p, [t])[0]
-        integral = predictable_integral(p, lu, t)
+        states, holds = _visited_states(p, t)
+        # Lu is cached by the state rounded to 12 decimals; a path's
+        # states are rounded together in one call
+        vals = []
+        for x, rounded in zip(states, np.round(states, 12)):
+            key = tuple(rounded)
+            if key not in cache:
+                cache[key] = apply_generator(kernel, u, x)
+            vals.append(cache[key])
+        integral = float(np.dot(holds, np.array(vals)))
         samples.append(u.u(xt) - u.u(p.x0) - integral)
     samples = np.array(samples)
     mean = float(samples.mean())

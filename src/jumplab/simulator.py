@@ -18,7 +18,7 @@ bit-identical across platforms and worker counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -309,6 +309,9 @@ class _TailSampler:
             u = rng.random(2 * n)
             ks = self._atom_cdf.searchsorted(u[:n], side="right")
             return self._atom_matrix[ks]
+        if isinstance(comp, ConeRestriction):
+            # rejection against the base law, one jump at a time
+            return np.array([self.draw(rng, x) for _ in range(n)])
         u = rng.random(n)
         if isinstance(comp, StableLikeSmall):
             a = comp.alpha(x)
@@ -563,14 +566,16 @@ class ThinningSimulator:
         import concurrent.futures
         import pickle
 
+        # the workers get this simulator itself, so they share its
+        # dominating rate rather than recomputing it on another grid
         try:
-            pickle.dumps((self.kernel, self.config))
+            pickle.dumps(self)
         except Exception:
             return [self.path(x0, i) for i in range(n_paths)]
         chunks = np.array_split(np.arange(n_paths), jobs)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             futures = [
-                ex.submit(_simulate_chunk, self.kernel, self.config,
+                ex.submit(_simulate_chunk, self,
                           np.asarray(x0, dtype=float), chunk.tolist())
                 for chunk in chunks if len(chunk)
             ]
@@ -580,8 +585,7 @@ class ThinningSimulator:
         return [results[i] for i in range(n_paths)]
 
 
-def _simulate_chunk(kernel, config, x0, indices):
-    sim = ThinningSimulator(kernel, config)
+def _simulate_chunk(sim, x0, indices):
     return {i: sim.path(x0, i) for i in indices}
 
 

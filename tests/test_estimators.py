@@ -13,13 +13,20 @@ from jumplab.estimators import (
     apply_generator,
     generator_martingale_test,
     lil_statistics,
+    martingale_series,
     martingale_test,
     predictable_integral,
     qv_comparison,
     second_moment_identity,
 )
 from jumplab.kernels import CompoundPoissonAtoms, KernelSpec, StableLikeSmall
-from jumplab.simulator import Path, PathEnsemble, SimConfig, simulate_ensemble
+from jumplab.simulator import (
+    Path,
+    PathEnsemble,
+    SimConfig,
+    simulate_ensemble,
+    states_at,
+)
 
 ATOMS = KernelSpec(1, (CompoundPoissonAtoms(
     ((1.0, (0.5,)), (1.0, (-0.5,)))
@@ -116,6 +123,54 @@ class TestMartingale:
         )
         rep = martingale_test(shifted, 1.0)
         assert not rep.passed
+
+
+ATOMS_2D = KernelSpec(2, (CompoundPoissonAtoms(
+    ((1.0, (0.5, 0.0)), (1.0, (-0.5, 0.0)),
+     (0.5, (0.3, 0.4)), (0.5, (-0.3, -0.4)))
+),))
+
+
+def martingale_by_loop(ens, t):
+    """The per-time reduction, one pass over the paths for ``t`` alone."""
+    deltas = np.array([states_at(p, [t])[0] - p.x0 for p in ens.paths])
+    mean = deltas.mean(axis=0)
+    se = deltas.std(axis=0, ddof=1) / math.sqrt(len(deltas))
+    z = np.where(se > 0, mean / np.where(se > 0, se, 1.0), 0.0)
+    return mean, se, z
+
+
+class TestMartingaleSeries:
+    @pytest.mark.parametrize("kernel,x0", [
+        (ATOMS, (0.0,)), (ATOMS_2D, (1.0, -2.0)),
+    ])
+    def test_matches_one_time_at_a_time(self, kernel, x0):
+        ens = simulate_ensemble(kernel, x0, cfg(t_end=0.5), 300)
+        assert any(p.n_jumps == 0 for p in ens.paths)
+        first_jump = next(p.jump_times[0] for p in ens.paths if p.n_jumps)
+        ts = [0.0, 0.05, first_jump, 0.25, 0.3, 0.5]
+        series = martingale_series(ens, ts)
+        assert [r.t for r in series] == ts
+        for t, rep in zip(ts, series):
+            single = martingale_test(ens, t)
+            mean, se, z = martingale_by_loop(ens, t)
+            for got in (rep, single):
+                assert got.n_paths == 300
+                assert np.array_equal(got.mean, mean)
+                assert np.array_equal(got.se, se)
+                assert np.array_equal(got.z_scores, z)
+
+    def test_empty_ensemble_raises(self):
+        ens = PathEnsemble(cfg(), "empty", ())
+        with pytest.raises(ValueError):
+            martingale_series(ens, [0.5, 1.0])
+        with pytest.raises(ValueError):
+            martingale_test(ens, 1.0)
+
+    def test_time_beyond_horizon_raises(self):
+        ens = simulate_ensemble(ATOMS, (0.0,), cfg(), 5)
+        with pytest.raises(RangeError):
+            martingale_series(ens, [0.5, 1.5])
 
 
 class TestMomentIdentity:

@@ -11,6 +11,7 @@ from jumplab.errors import JumpCapExceeded, RangeError
 from jumplab.kernels import (
     BigJumpPowerLaw,
     CompoundPoissonAtoms,
+    ConeRestriction,
     KernelSpec,
     StableLikeSmall,
 )
@@ -108,6 +109,38 @@ class TestDeterminism:
         for a, b in zip(e1.paths, e4.paths):
             assert np.array_equal(a.jump_times, b.jump_times)
             assert np.array_equal(a.jump_vectors, b.jump_vectors)
+
+    def test_jobs_keep_the_rate_grid(self):
+        # c rises towards 1.5 away from the origin, so a grid point far
+        # outside the default grid raises the dominating rate
+        k = KernelSpec(1, (StableLikeSmall(
+            coeffs.from_source("1.5 - 0.5/(1 + |x|^2)", 1.0, 1.5),
+            coeffs.constant(1.0),
+        ),))
+        grid = [(0.0,), (100.0,)]
+        e1 = simulate_ensemble(k, (0.0,), cfg(), 6, jobs=1, rate_grid=grid)
+        e2 = simulate_ensemble(k, (0.0,), cfg(), 6, jobs=2, rate_grid=grid)
+        for a, b in zip(e1.paths, e2.paths):
+            assert a.jump_times.tobytes() == b.jump_times.tobytes()
+            assert a.jump_vectors.tobytes() == b.jump_vectors.tobytes()
+
+
+def right_half_plane(z):
+    return z[0] > 0.0
+
+
+class TestCone:
+    def test_state_independent_cone_simulates(self):
+        k = KernelSpec(2, (ConeRestriction(
+            BigJumpPowerLaw(coeffs.constant(1.0), coeffs.constant(3.0)),
+            right_half_plane,
+        ),))
+        config = cfg(t_end=5.0)
+        ens = simulate_ensemble(k, (0.0, 0.0), config, 20)
+        zs = np.concatenate([p.jump_vectors for p in ens.paths])
+        assert len(zs) > 0
+        assert all(right_half_plane(z) for z in zs)
+        assert np.all(np.linalg.norm(zs, axis=1) >= config.epsilon)
 
 
 class TestPathAccess:
