@@ -186,13 +186,7 @@ def _component(parser, section, d, grid_points):
             _fail(section, f"unknown predicate {pname!r}; "
                            f"choose from {sorted(PREDICATES)}")
         pred = PREDICATES[pname]()
-        return ConeRestriction(
-            base, pred,
-            symmetric=pred.symmetric,
-            permutation_symmetric=parser.getboolean(
-                section, "permutation_symmetric", fallback=False
-            ),
-        )
+        return ConeRestriction(base, pred, symmetric=pred.symmetric)
     if family == "hunt_difference":
         return HuntDifference(
             _coeff(parser, section, "c", d, grid_points),

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .kernels import CompoundPoissonAtoms
-from .quadrature import integrate_radial, sphere_nodes
 from .simulator import states_at
 
 __all__ = [
@@ -340,34 +338,13 @@ def apply_generator(kernel, u, x):
     if isinstance(u, str):
         u = TEST_FUNCTIONS[u]
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = kernel.d
     ux = u.u(x)
     gx = np.asarray(u.grad(x), dtype=float)
     total = 0.0
     for comp in kernel.components:
-        if isinstance(comp, CompoundPoissonAtoms):
-            for w, z in comp.atoms:
-                z = np.asarray(z)
-                corr = float(np.dot(gx, z)) if np.linalg.norm(z) < 1.0 \
-                    else 0.0
-                total += w * (u.u(x + z) - ux - corr)
-            continue
-        r_lo, r_hi = comp.support(d)
-        pts, wts = sphere_nodes(d)
-        for theta, w in zip(pts, wts):
-            def integrand(r, th=theta):
-                z = r * th
-                dens = comp.density(x, z, d)
-                if dens == 0.0:
-                    return 0.0
-                corr = float(np.dot(gx, z)) if r < 1.0 else 0.0
-                return (u.u(x + z) - ux - corr) * dens * r ** (d - 1)
-
-            # integrand ~ r^2 * density * r^{d-1} ~ r^{1-alpha} near 0
-            sing = 1.0 - 2.0 + 1e-6 if r_lo == 0.0 else 0.0
-            res = integrate_radial(integrand, r_lo, r_hi, sing,
-                                   rtol=1e-9, max_evals=200_000)
-            total += w * res.value
+        # term by term: a subtotal per component would round differently
+        for term in comp.generator_terms(u.u, x, ux, gx, kernel.d):
+            total += term
     return total
 
 
@@ -379,7 +356,8 @@ def generator_martingale_test(ensemble, kernel, u, t):
     cache = {}
     samples = []
     for p in paths:
-        xt = states_at(p, [t])[0]
+        if t < 0 or t > p.t_end:
+            raise RangeError("times outside [0, t_end]")
         states, holds = _visited_states(p, t)
         # Lu is cached by the state rounded to 12 decimals; a path's
         # states are rounded together in one call
@@ -390,7 +368,7 @@ def generator_martingale_test(ensemble, kernel, u, t):
                 cache[key] = apply_generator(kernel, u, x)
             vals.append(cache[key])
         integral = float(np.dot(holds, np.array(vals)))
-        samples.append(u.u(xt) - u.u(p.x0) - integral)
+        samples.append(u.u(states[-1]) - u.u(p.x0) - integral)
     samples = np.array(samples)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(len(samples))) \

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientFn
-from .errors import AtomicKernelError, DivergentIntegral, DomainError
+from .errors import (
+    AtomicKernelError,
+    DivergentIntegral,
+    DomainError,
+    EnvelopeViolation,
+)
 from .quadrature import (
     DEFAULT_MAX_EVALS,
     DEFAULT_RTOL,
@@ -41,6 +46,8 @@ __all__ = [
     "hunt_decompose",
     "surface_area",
 ]
+
+_CONE_REJECT_CAP = 100_000
 
 
 def surface_area(d):
@@ -79,31 +86,123 @@ class DiffusionMatrix:
     quadrature_error: float
 
 
+def _uniform_direction(rng, d, n=None):
+    if d == 1:
+        u = rng.random(n)
+        return np.where(u < 0.5, -1.0, 1.0)[..., None] if n is not None \
+            else np.array([-1.0 if u < 0.5 else 1.0])
+    shape = (n, d) if n is not None else (d,)
+    v = rng.standard_normal(shape)
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    # a zero draw has probability zero; guard anyway
+    norm[norm == 0] = 1.0
+    return v / norm
+
+
 # --- components --------------------------------------------------------------
 #
-# Each component implements:
-#   radial_density(x, r, d)  -- density along any direction (isotropic
-#                               families only; atoms raise)
-#   density(x, z, d)
-#   support(d)               -- (r_lo, r_hi) of the radial support
-#   second_moment(x, d)      -- QuadratureResult
-#   tail_mass(x, eps, d)     -- QuadratureResult for N(x, {|z| >= eps})
-#   abs_drift_tail(x, eps, d)-- QuadratureResult for int_{|z|>=eps} |z| N
-#   dropped_variance(x, eps, d)
-#   odd_symmetric / isotropic flags
+# Every component implements one protocol, so that KernelSpec, the
+# simulator and the estimators only sum over components:
+#   coefficients                 -- its CoefficientFns (a cone's are its base's)
+#   odd_symmetric / isotropic / atomic flags
+#   density(x, z, d)             -- atoms raise
+#   second_moment(x, d), tail_mass(x, eps, d), dropped_variance(x, eps, d)
+#                                -- QuadratureResults
+#   drift_tail(x, eps, d)        -- (int_{|z|>=eps} z N(x, dz), error bound)
+#   diffusion(x, d)              -- (int z z^T N(x, dz), error bound)
+#   tail_sampler(d, eps)         -- draw(rng, x) and draw_many(rng, x, n)
+#   generator_terms(u, x, ux, gx, d) -- yields its terms of Lu(x), where
+#                                      ux = u(x) and gx = grad u(x)
+
+
+class _DensityComponent:
+    """The generator terms of a component with a density: one radial
+    quadrature per sphere node."""
+
+    atomic = False
+
+    def generator_terms(self, u, x, ux, gx, d):
+        r_lo, r_hi = self.support(d)
+        # integrand ~ r^2 * density * r^{d-1} ~ r^{1-alpha} near 0
+        sing = 1.0 - 2.0 + 1e-6 if r_lo == 0.0 else 0.0
+        pts, wts = sphere_nodes(d)
+        for theta, w in zip(pts, wts):
+            def integrand(r, th=theta):
+                z = r * th
+                dens = self.density(x, z, d)
+                if dens == 0.0:
+                    return 0.0
+                corr = float(np.dot(gx, z)) if r < 1.0 else 0.0
+                return (u(x + z) - ux - corr) * dens * r ** (d - 1)
+
+            res = integrate_radial(integrand, r_lo, r_hi, sing,
+                                   rtol=1e-9, max_evals=200_000)
+            yield w * res.value
+
+
+class _Isotropic(_DensityComponent):
+    """What the isotropic families share.  Each family supplies
+    ``support``, ``radial_density``, its moments, and the inverse CDF
+    ``tail_radius(u, x, eps)`` of its tail radius or a sampler of its
+    own."""
+
+    odd_symmetric = True
+    isotropic = True
+
+    def density(self, x, z, d):
+        return self.radial_density(x, float(np.linalg.norm(z)), d)
+
+    def drift_tail(self, x, eps, d):
+        # isotropic densities integrate to zero by symmetry
+        return np.zeros(d), 0.0
+
+    def diffusion(self, x, d):
+        # off-diagonals vanish, diagonal = moment / d
+        res = self.second_moment(x, d)
+        return (res.value / d) * np.eye(d), res.error_bound
+
+    def tail_sampler(self, d, eps):
+        return _RadialSampler(self.tail_radius, d, eps)
+
+
+class _RadialSampler:
+    """An isotropic tail law: ``radius(u, x, eps)`` times a uniform
+    direction.
+
+    ``radius`` takes a float ``u`` in :meth:`draw` and an array in
+    :meth:`draw_many`.  Numpy's array ``power`` can differ from Python's
+    ``float ** float`` in the last bit, so single draws must not go
+    through arrays: that would change the paths of state-dependent
+    kernels.
+    """
+
+    def __init__(self, radius, d, eps):
+        self.radius = radius
+        self.d = d
+        self.eps = eps
+
+    def _draw(self, rng, x, u):
+        return self.radius(u, x, self.eps) * _uniform_direction(rng, self.d)
+
+    def draw(self, rng, x):
+        return self._draw(rng, x, rng.random())
+
+    def draw_many(self, rng, x, n):
+        r = self.radius(rng.random(n), x, self.eps)
+        return r[:, None] * _uniform_direction(rng, self.d, n)
 
 
 @dataclass(frozen=True)
-class StableLikeSmall:
+class StableLikeSmall(_Isotropic):
     """Density ``c(x) [C_{alpha(x)}] / |z|^{d+alpha(x)}`` on ``0 < |z| < 1``."""
 
     c: CoefficientFn
     alpha: CoefficientFn
     bass_normalized: bool = False
 
-    odd_symmetric = True
-    isotropic = True
-    atomic = False
+    @property
+    def coefficients(self):
+        return (self.c, self.alpha)
 
     def _coeff(self, x, d):
         a = self.alpha(x)
@@ -123,9 +222,6 @@ class StableLikeSmall:
         cv, a = self._coeff(x, d)
         return cv * r ** (-d - a)
 
-    def density(self, x, z, d):
-        return self.radial_density(x, float(np.linalg.norm(z)), d)
-
     def second_moment(self, x, d):
         cv, a = self._coeff(x, d)
         return QuadratureResult(cv * surface_area(d) / (2.0 - a), 0.0, 1)
@@ -137,16 +233,6 @@ class StableLikeSmall:
         value = cv * surface_area(d) * (eps ** (-a) - 1.0) / a
         return QuadratureResult(value, 0.0, 1)
 
-    def abs_drift_tail(self, x, eps, d):
-        if eps >= 1.0:
-            return QuadratureResult(0.0, 0.0, 1)
-        cv, a = self._coeff(x, d)
-        if a == 1.0:
-            value = cv * surface_area(d) * (-math.log(eps))
-        else:
-            value = cv * surface_area(d) * (1.0 - eps ** (1.0 - a)) / (1.0 - a)
-        return QuadratureResult(value, 0.0, 1)
-
     def dropped_variance(self, x, eps, d):
         cv, a = self._coeff(x, d)
         e = min(eps, 1.0)
@@ -154,17 +240,23 @@ class StableLikeSmall:
             cv * surface_area(d) * e ** (2.0 - a) / (2.0 - a), 0.0, 1
         )
 
+    def tail_radius(self, u, x, eps):
+        # inverse CDF of r^{-1-alpha} on [eps, 1)
+        a = self.alpha(x)
+        lo = eps ** (-a)
+        return (lo - u * (lo - 1.0)) ** (-1.0 / a)
+
 
 @dataclass(frozen=True)
-class BigJumpPowerLaw:
+class BigJumpPowerLaw(_Isotropic):
     """Density ``c0(x) / |z|^{d+beta1(x)}`` on ``|z| >= 1``."""
 
     c0: CoefficientFn
     beta1: CoefficientFn
 
-    odd_symmetric = True
-    isotropic = True
-    atomic = False
+    @property
+    def coefficients(self):
+        return (self.c0, self.beta1)
 
     def _coeff(self, x):
         b = self.beta1(x)
@@ -181,9 +273,6 @@ class BigJumpPowerLaw:
         cv, b = self._coeff(x)
         return cv * r ** (-d - b)
 
-    def density(self, x, z, d):
-        return self.radial_density(x, float(np.linalg.norm(z)), d)
-
     def second_moment(self, x, d):
         cv, b = self._coeff(x)
         if b <= 2.0:
@@ -198,32 +287,25 @@ class BigJumpPowerLaw:
         m = max(eps, 1.0)
         return QuadratureResult(cv * surface_area(d) * m ** (-b) / b, 0.0, 1)
 
-    def abs_drift_tail(self, x, eps, d):
-        cv, b = self._coeff(x)
-        if b <= 1.0:
-            raise DivergentIntegral(
-                f"big-jump first moment diverges: beta1(x)={b} <= 1"
-            )
-        m = max(eps, 1.0)
-        return QuadratureResult(
-            cv * surface_area(d) * m ** (1.0 - b) / (b - 1.0), 0.0, 1
-        )
-
     def dropped_variance(self, x, eps, d):
         return QuadratureResult(0.0, 0.0, 1)
 
+    def tail_radius(self, u, x, eps):
+        # inverse CDF of r^{-1-beta1} on [max(eps, 1), inf)
+        return max(eps, 1.0) * (1.0 - u) ** (-1.0 / self.beta1(x))
+
 
 @dataclass(frozen=True)
-class BigJumpStretchedExp:
+class BigJumpStretchedExp(_Isotropic):
     """Density ``c0(x) exp(-lam |z|^{beta2(x)})`` on ``|z| >= 1``."""
 
     c0: CoefficientFn
     lam: float
     beta2: CoefficientFn
 
-    odd_symmetric = True
-    isotropic = True
-    atomic = False
+    @property
+    def coefficients(self):
+        return (self.c0, self.beta2)
 
     def _coeff(self, x):
         b = self.beta2(x)
@@ -242,9 +324,6 @@ class BigJumpStretchedExp:
         cv, b = self._coeff(x)
         return cv * math.exp(-self.lam * r**b)
 
-    def density(self, x, z, d):
-        return self.radial_density(x, float(np.linalg.norm(z)), d)
-
     def _radial_moment(self, x, power, lo, d):
         cv, b = self._coeff(x)
         res = integrate_radial(
@@ -261,11 +340,43 @@ class BigJumpStretchedExp:
     def tail_mass(self, x, eps, d):
         return self._radial_moment(x, 0, max(eps, 1.0), d)
 
-    def abs_drift_tail(self, x, eps, d):
-        return self._radial_moment(x, 1, max(eps, 1.0), d)
-
     def dropped_variance(self, x, eps, d):
         return QuadratureResult(0.0, 0.0, 1)
+
+    def tail_sampler(self, d, eps):
+        return _RejectionSampler(self._rejection_radius, d, eps)
+
+    def _rejection_radius(self, rng, u, x, eps, d):
+        b = self.beta2(x)
+        lam = self.lam
+        m = max(eps, 1.0)
+        # rejection against a Pareto envelope r^{-1-p} on [m, inf):
+        # density r^{d-1} e^{-lam r^b} <= M r^{-1-p} with the maximum of
+        # r^{d+p} e^{-lam r^b} attained at ((d+p)/(lam b))^{1/b}
+        p = 1.0
+        rstar = max(((d + p) / (lam * b)) ** (1.0 / b), m)
+        logM = (d + p) * math.log(rstar) - lam * rstar**b
+        while True:
+            r = m * (1.0 - u) ** (-1.0 / p)
+            logf = (d - 1) * math.log(r) - lam * r**b
+            logg = -(1.0 + p) * math.log(r)
+            if math.log(rng.random() + 1e-300) <= logf - logg - logM:
+                return r
+            u = rng.random()
+
+
+class _RejectionSampler(_RadialSampler):
+    """A radial law without a closed-form inverse CDF:
+    ``radius(rng, u, x, eps, d)`` starts from ``u`` and takes further
+    uniforms from ``rng``, so each jump's direction follows its radius."""
+
+    def _draw(self, rng, x, u):
+        r = self.radius(rng, u, x, self.eps, self.d)
+        return r * _uniform_direction(rng, self.d)
+
+    def draw_many(self, rng, x, n):
+        # the n first uniforms come in one call, then each jump in turn
+        return np.array([self._draw(rng, x, u) for u in rng.random(n)])
 
 
 @dataclass(frozen=True)
@@ -276,6 +387,7 @@ class CompoundPoissonAtoms:
 
     isotropic = False
     atomic = True
+    coefficients = ()
 
     def __post_init__(self):
         norm = []
@@ -290,21 +402,13 @@ class CompoundPoissonAtoms:
 
     @property
     def odd_symmetric(self):
-        pool = [(w, z) for w, z in self.atoms]
         for w, z in self.atoms:
             neg = tuple(-c for c in z)
             if not any(
-                abs(w2 - w) < 1e-15 and z2 == neg for w2, z2 in pool
+                abs(w2 - w) < 1e-15 and z2 == neg for w2, z2 in self.atoms
             ):
                 return False
         return True
-
-    def support(self, d):
-        radii = [np.linalg.norm(z) for _, z in self.atoms]
-        return (min(radii), max(radii))
-
-    def radial_density(self, x, r, d):
-        raise AtomicKernelError("atomic components have no density")
 
     def density(self, x, z, d):
         raise AtomicKernelError("atomic components have no density")
@@ -317,14 +421,6 @@ class CompoundPoissonAtoms:
         value = sum(w for w, z in self.atoms if np.linalg.norm(z) >= eps)
         return QuadratureResult(value, 0.0, 1)
 
-    def abs_drift_tail(self, x, eps, d):
-        value = sum(
-            w * float(np.linalg.norm(z))
-            for w, z in self.atoms
-            if np.linalg.norm(z) >= eps
-        )
-        return QuadratureResult(value, 0.0, 1)
-
     def drift_tail_exact(self, x, eps, d):
         total = np.zeros(d)
         for w, z in self.atoms:
@@ -332,12 +428,18 @@ class CompoundPoissonAtoms:
                 total += w * np.asarray(z)
         return total
 
+    def drift_tail(self, x, eps, d):
+        return self.drift_tail_exact(x, eps, d), 0.0
+
     def diffusion_exact(self, x, d):
         a = np.zeros((d, d))
         for w, z in self.atoms:
             zv = np.asarray(z)
             a += w * np.outer(zv, zv)
         return a
+
+    def diffusion(self, x, d):
+        return self.diffusion_exact(x, d), 0.0
 
     def dropped_variance(self, x, eps, d):
         value = sum(
@@ -347,12 +449,44 @@ class CompoundPoissonAtoms:
         )
         return QuadratureResult(value, 0.0, 1)
 
+    def tail_sampler(self, d, eps):
+        return _AtomSampler(self.atoms, eps)
+
+    def generator_terms(self, u, x, ux, gx, d):
+        for w, z in self.atoms:
+            z = np.asarray(z)
+            corr = float(np.dot(gx, z)) if np.linalg.norm(z) < 1.0 else 0.0
+            yield w * (u(x + z) - ux - corr)
+
+
+class _AtomSampler:
+    """Picks one of the atoms with ``|z| >= eps`` by weight."""
+
+    def __init__(self, atoms, eps):
+        pairs = [(w, z) for w, z in atoms if np.linalg.norm(z) >= eps]
+        weights = np.array([w for w, _ in pairs])
+        self._matrix = np.array([z for _, z in pairs], dtype=float)
+        # same cdf construction as Generator.choice(p=...), so the
+        # searchsorted draws below consume the identical stream
+        cdf = (weights / weights.sum()).cumsum()
+        self._cdf = cdf / cdf[-1]
+
+    def draw(self, rng, x):
+        k = int(self._cdf.searchsorted(rng.random(), side="right"))
+        rng.random()  # keep the draw count uniform across families
+        return self._matrix[k].copy()
+
+    def draw_many(self, rng, x, n):
+        # n index uniforms then n filler uniforms, drawn in one call
+        u = rng.random(2 * n)
+        return self._matrix[self._cdf.searchsorted(u[:n], side="right")]
+
 
 @dataclass(frozen=True)
-class ConeRestriction:
+class ConeRestriction(_DensityComponent):
     """An isotropic base density multiplied by the indicator of a set A.
 
-    The symmetry flags are declared by the caller, not verified here;
+    The symmetry flag is declared by the caller, not verified here;
     the validators provide a sampling audit.  ``symmetric`` means
     ``A = -A``.
     """
@@ -360,9 +494,7 @@ class ConeRestriction:
     base: object
     predicate: object  # callable z -> bool
     symmetric: bool = False
-    permutation_symmetric: bool = False
 
-    atomic = False
     isotropic = False
 
     def __post_init__(self):
@@ -377,6 +509,10 @@ class ConeRestriction:
     def odd_symmetric(self):
         return self.symmetric and self.base.odd_symmetric
 
+    @property
+    def coefficients(self):
+        return self.base.coefficients
+
     def support(self, d):
         return self.base.support(d)
 
@@ -386,19 +522,19 @@ class ConeRestriction:
             return 0.0
         return self.base.density(x, z, d)
 
-    def _angular_integral(self, x, power, lo, d, rtol=DEFAULT_RTOL):
-        """Sum over sphere nodes of the per-direction radial moment.
+    def _angular_moment(self, x, power, lo, d, total, weight, size):
+        """``total`` plus the sum, node by node, over sphere nodes ``theta``
+        of ``w weight(theta) int_lo r^{d-1+power} rho(r) 1_A(r theta) dr``.
 
         Exact along the radius (the indicator is evaluated at each
-        radial node); the angular error from the indicator edge is part
-        of the reported bound.
-        """
+        radial node); the returned ``(sum, error, evaluations)`` bound
+        includes the indicator edge's angular error, ``size(sum)`` times
+        the node spacing."""
         r_lo, r_hi = self.base.support(d)
         lo = max(lo, r_lo)
         if lo >= r_hi:
-            return QuadratureResult(0.0, 0.0, 1)
+            return total, 0.0, 1
         pts, wts = sphere_nodes(d)
-        value = 0.0
         error = 0.0
         evals = 0
         sing = -1.0 + 1e-6 if r_lo == 0.0 else 0.0
@@ -409,90 +545,79 @@ class ConeRestriction:
                     * r ** (d - 1 + power)
                     * (1.0 if self.predicate(r * th) else 0.0)
                 ),
-                lo, r_hi, sing, rtol,
+                lo, r_hi, sing, DEFAULT_RTOL,
                 max(2000, DEFAULT_MAX_EVALS // len(wts)),
             )
-            value += w * res.value
+            total += w * res.value * weight(theta)
             error += w * res.error_bound
             evals += res.evaluations
         # angular resolution of the indicator edge (exact in d=1)
         if d > 1:
-            error += abs(value) * (2.0 / len(wts))
-        return QuadratureResult(value, error, evals)
+            error += size(total) * (2.0 / len(wts))
+        return total, error, evals
 
-    def radial_density(self, x, r, d):
-        raise ValueError("cone-restricted components are not isotropic")
+    def _scalar_moment(self, x, power, lo, d):
+        return QuadratureResult(*self._angular_moment(
+            x, power, lo, d, 0.0, lambda th: 1.0, abs))
 
     def second_moment(self, x, d):
-        return self._angular_integral(x, 2, 0.0, d)
+        return self._scalar_moment(x, 2, 0.0, d)
 
     def tail_mass(self, x, eps, d):
-        return self._angular_integral(x, 0, eps, d)
+        return self._scalar_moment(x, 0, eps, d)
 
-    def abs_drift_tail(self, x, eps, d):
-        return self._angular_integral(x, 1, eps, d)
-
-    def drift_tail_quadrature(self, x, eps, d):
-        r_lo, r_hi = self.base.support(d)
-        lo = max(eps, r_lo)
-        vec = np.zeros(d)
-        err = 0.0
-        if lo >= r_hi:
-            return vec, err
-        pts, wts = sphere_nodes(d)
-        for theta, w in zip(pts, wts):
-            res = integrate_radial(
-                lambda r, th=theta: (
-                    self.base.radial_density(x, r, d)
-                    * r**d
-                    * (1.0 if self.predicate(r * th) else 0.0)
-                ),
-                lo, r_hi, 0.0, DEFAULT_RTOL,
-                max(2000, DEFAULT_MAX_EVALS // len(wts)),
-            )
-            vec += w * res.value * theta
-            err += w * res.error_bound
-        if d > 1:
-            err += float(np.linalg.norm(vec)) * (2.0 / len(wts))
+    def drift_tail(self, x, eps, d):
+        vec, err, _ = self._angular_moment(
+            x, 1, eps, d, np.zeros(d), lambda th: th,
+            lambda v: float(np.linalg.norm(v)))
         return vec, err
 
-    def diffusion_quadrature(self, x, d):
-        r_lo, r_hi = self.base.support(d)
-        a = np.zeros((d, d))
-        err = 0.0
-        pts, wts = sphere_nodes(d)
-        sing = -1.0 + 1e-6 if r_lo == 0.0 else 0.0
-        for theta, w in zip(pts, wts):
-            res = integrate_radial(
-                lambda r, th=theta: (
-                    self.base.radial_density(x, r, d)
-                    * r ** (d + 1)
-                    * (1.0 if self.predicate(r * th) else 0.0)
-                ),
-                r_lo, r_hi, sing, DEFAULT_RTOL,
-                max(2000, DEFAULT_MAX_EVALS // len(wts)),
-            )
-            a += w * res.value * np.outer(theta, theta)
-            err += w * res.error_bound
-        if d > 1:
-            err += float(np.trace(a)) * (2.0 / len(wts))
+    def diffusion(self, x, d):
+        a, err, _ = self._angular_moment(
+            x, 2, 0.0, d, np.zeros((d, d)), lambda th: np.outer(th, th),
+            lambda m: float(np.trace(m)))
         return a, err
 
     def dropped_variance(self, x, eps, d):
         r_lo, _ = self.base.support(d)
         if eps <= r_lo:
             return QuadratureResult(0.0, 0.0, 1)
-        full = self._angular_integral(x, 2, 0.0, d)
-        tail = self._angular_integral(x, 2, eps, d)
+        full = self.second_moment(x, d)
+        tail = self._scalar_moment(x, 2, eps, d)
         return QuadratureResult(
             max(full.value - tail.value, 0.0),
             full.error_bound + tail.error_bound,
             full.evaluations + tail.evaluations,
         )
 
+    def tail_sampler(self, d, eps):
+        return _ConeSampler(self, d, eps)
+
+
+class _ConeSampler:
+    """The base tail law, rejected until a draw lands in the cone."""
+
+    def __init__(self, cone, d, eps):
+        self.predicate = cone.predicate
+        self.base = cone.base.tail_sampler(d, eps)
+
+    def draw(self, rng, x):
+        for _ in range(_CONE_REJECT_CAP):
+            z = self.base.draw(rng, x)
+            if self.predicate(z):
+                return z
+        raise EnvelopeViolation(
+            "cone predicate rejected every proposal; "
+            "restricted set may have negligible mass"
+        )
+
+    def draw_many(self, rng, x, n):
+        # rejection against the base law, one jump at a time
+        return np.array([self.draw(rng, x) for _ in range(n)])
+
 
 @dataclass(frozen=True)
-class HuntDifference:
+class HuntDifference(_Isotropic):
     """``J(x, y) = c(x) / |x-y|^{d + alpha(|x-y|)}`` seen as ``N(x, dz)``.
 
     ``alpha_r`` is a radial coefficient evaluated at ``r = |z|``; the
@@ -503,9 +628,9 @@ class HuntDifference:
     c: CoefficientFn
     alpha_r: CoefficientFn
 
-    odd_symmetric = True
-    isotropic = True
-    atomic = False
+    @property
+    def coefficients(self):
+        return (self.c, self.alpha_r)
 
     def support(self, d):
         return (0.0, math.inf)
@@ -515,16 +640,13 @@ class HuntDifference:
             return 0.0
         return self.c(x) * r ** (-d - self.alpha_r((r,)))
 
-    def density(self, x, z, d):
-        return self.radial_density(x, float(np.linalg.norm(z)), d)
-
-    def _radial_moment(self, x, power, lo, d):
+    def _radial_moment(self, x, power, lo, d, hi=math.inf):
         cv = self.c(x)
         # near 0 the integrand behaves like r^{power-1-alpha(0+)}
         sing = power - 1.0 - self.alpha_r((1e-12,)) if lo == 0.0 else 0.0
         res = integrate_radial(
             lambda r: r ** (power - 1.0 - self.alpha_r((r,))),
-            lo, math.inf, sing,
+            lo, hi, sing,
         )
         s = surface_area(d)
         return QuadratureResult(cv * s * res.value, cv * s * res.error_bound,
@@ -536,18 +658,12 @@ class HuntDifference:
     def tail_mass(self, x, eps, d):
         return self._radial_moment(x, 0, eps, d)
 
-    def abs_drift_tail(self, x, eps, d):
-        return self._radial_moment(x, 1, eps, d)
-
     def dropped_variance(self, x, eps, d):
-        cv = self.c(x)
-        sing = 1.0 - self.alpha_r((1e-12,))
-        res = integrate_radial(
-            lambda r: r ** (1.0 - self.alpha_r((r,))), 0.0, eps, sing
-        )
-        s = surface_area(d)
-        return QuadratureResult(cv * s * res.value, cv * s * res.error_bound,
-                                res.evaluations)
+        return self._radial_moment(x, 2, 0.0, d, eps)
+
+    def tail_sampler(self, d, eps):
+        return _RadialSampler(_HuntRadialTable(self.alpha_r, eps).radius,
+                              d, eps)
 
     def j(self, x, y, d):
         """The two-point kernel value ``J(x, y)``."""
@@ -555,6 +671,35 @@ class HuntDifference:
         if r <= 0.0:
             raise DomainError("J(x, y) requires x != y")
         return self.c(x) * r ** (-d - self.alpha_r((r,)))
+
+
+class _HuntRadialTable:
+    """Numerical inverse CDF for the radial law ``r^{-1-alpha(r)}`` on
+    ``[eps, R]``; the shape does not depend on the state, only the
+    total mass does, so one table serves every state."""
+
+    def __init__(self, alpha_r, eps, n=4096):
+        # extend until the remaining tail is negligible
+        R = max(4.0, 1.0 / eps)
+        while True:
+            tail = integrate_radial(
+                lambda r: r ** (-1.0 - alpha_r((r,))), R, math.inf, 0.0
+            ).value
+            body = integrate_radial(
+                lambda r: r ** (-1.0 - alpha_r((r,))), eps, R, 0.0
+            ).value
+            if tail <= 1e-12 * body:
+                break
+            R *= 4.0
+        grid = np.exp(np.linspace(math.log(eps), math.log(R), n))
+        dens = np.array([r ** (-1.0 - alpha_r((r,))) for r in grid])
+        mids = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
+        cdf = np.concatenate([[0.0], np.cumsum(mids)])
+        self.grid = grid
+        self.cdf = cdf / cdf[-1]
+
+    def radius(self, u, x, eps):
+        return np.interp(u, self.cdf, self.grid)
 
 
 def hunt_decompose(kernel, x, y, d=None):
@@ -600,18 +745,8 @@ class KernelSpec:
         return all(c.isotropic for c in self.components)
 
     def is_state_independent(self):
-        for c in self.components:
-            for name in ("c", "alpha", "c0", "beta1", "beta2", "alpha_r"):
-                fn = getattr(c, name, None)
-                if fn is not None and not fn.is_constant():
-                    return False
-            if isinstance(c, ConeRestriction):
-                base = c.base
-                for name in ("c", "alpha", "c0", "beta1", "beta2", "alpha_r"):
-                    fn = getattr(base, name, None)
-                    if fn is not None and not fn.is_constant():
-                        return False
-        return True
+        return all(fn.is_constant()
+                   for c in self.components for fn in c.coefficients)
 
     def density(self, x, z):
         """Total density at (x, z); rejects kernels with atomic parts."""
@@ -624,53 +759,41 @@ class KernelSpec:
             )
         return sum(c.density(x, z, self.d) for c in self.components)
 
-    def second_moment(self, x):
-        """``int |z|^2 N(x, dz)`` with an error bound."""
+    def _sum(self, moment, *args):
+        """The sum over components of a QuadratureResult ``moment``."""
         total = QuadratureResult(0.0, 0.0, 0)
         for c in self.components:
-            total = total + c.second_moment(x, self.d)
+            total = total + getattr(c, moment)(*args, self.d)
         return total
+
+    def second_moment(self, x):
+        """``int |z|^2 N(x, dz)`` with an error bound."""
+        return self._sum("second_moment", x)
 
     def drift_tail(self, x, eps):
         """``int_{|z| >= eps} z N(x, dz)`` as ``(vector, error_bound)``.
 
-        Odd-symmetric kernels short-circuit to an exact zero.
+        Odd-symmetric components contribute an exact zero.
         """
         if eps <= 0.0:
             raise ValueError("eps must be positive")
         vec = np.zeros(self.d)
         err = 0.0
         for c in self.components:
-            if c.odd_symmetric:
-                continue
-            if isinstance(c, CompoundPoissonAtoms):
-                vec += c.drift_tail_exact(x, eps, self.d)
-            elif isinstance(c, ConeRestriction):
-                v, e = c.drift_tail_quadrature(x, eps, self.d)
+            if not c.odd_symmetric:
+                v, e = c.drift_tail(x, eps, self.d)
                 vec += v
                 err += e
-            else:
-                # isotropic densities integrate to zero by symmetry
-                continue
         return vec, err
 
     def diffusion_matrix(self, x):
         """``a_ij(x) = int z_i z_j N(x, dz)`` with a quadrature error."""
-        d = self.d
-        a = np.zeros((d, d))
+        a = np.zeros((self.d, self.d))
         err = 0.0
         for c in self.components:
-            if isinstance(c, CompoundPoissonAtoms):
-                a += c.diffusion_exact(x, d)
-            elif isinstance(c, ConeRestriction):
-                m, e = c.diffusion_quadrature(x, d)
-                a += m
-                err += e
-            else:
-                # isotropic: off-diagonals vanish, diagonal = moment / d
-                res = c.second_moment(x, d)
-                a += (res.value / d) * np.eye(d)
-                err += res.error_bound
+            m, e = c.diffusion(x, self.d)
+            a += m
+            err += e
         a = 0.5 * (a + a.T)
         x_t = tuple(float(v) for v in np.atleast_1d(x))
         return DiffusionMatrix(x_t, a, err)
@@ -679,17 +802,11 @@ class KernelSpec:
         """``N(x, {|z| >= eps})`` with an error bound."""
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        total = QuadratureResult(0.0, 0.0, 0)
-        for c in self.components:
-            total = total + c.tail_mass(x, eps, self.d)
-        return total
+        return self._sum("tail_mass", x, eps)
 
     def dropped_variance(self, x, eps):
         """``int_{|z| < eps} |z|^2 N(x, dz)`` lost to truncation."""
-        total = QuadratureResult(0.0, 0.0, 0)
-        for c in self.components:
-            total = total + c.dropped_variance(x, eps, self.d)
-        return total
+        return self._sum("dropped_variance", x, eps)
 
 
 @dataclass(frozen=True)

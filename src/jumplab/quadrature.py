@@ -122,6 +122,51 @@ def _adaptive(f, a, b, tol, budget):
     return total_v, total_e, evals
 
 
+def _walk_shells(f, edge, factor, value, error, evals, rtol, max_evals,
+                 what, where):
+    """Add the geometric shells between ``edge`` and ``edge * factor^k``,
+    k = 1, 2, ..., to the running ``(value, error, evals)`` until they
+    stop contributing.  ``factor`` is 1/2 for shells shrinking toward the
+    origin and 2 for shells growing toward infinity; ``what`` and
+    ``where`` name the walk in the divergence and cap messages."""
+    shells = []
+    while True:
+        nxt = edge * factor
+        v, e, n = _adaptive(f, min(edge, nxt), max(edge, nxt),
+                            rtol * max(abs(value), 1.0) * 0.1,
+                            max_evals - evals)
+        evals += n
+        value += v
+        error += e
+        shells.append(v)
+        edge = nxt
+        k = len(shells)
+        if k >= _DIVERGENCE_LEVELS + 1:
+            ratios = [
+                abs(shells[-i]) / abs(shells[-i - 1])
+                for i in range(1, _DIVERGENCE_LEVELS + 1)
+                if abs(shells[-i - 1]) > 0
+            ]
+            if (len(ratios) == _DIVERGENCE_LEVELS
+                    and min(ratios) >= _DIVERGENCE_RATIO
+                    and abs(shells[-1]) > rtol * max(abs(value), 1e-300)):
+                raise DivergenceDetected(
+                    f"{what} are not decaying "
+                    f"(last {abs(shells[-1]):.3e} vs total {value:.3e})"
+                )
+        if abs(v) <= rtol * max(abs(value), 1e-300) and k >= 4:
+            # geometric remainder estimate from the observed decay
+            rho = abs(shells[-1]) / abs(shells[-2]) if abs(shells[-2]) > 0 else 0.0
+            rho = min(rho, 0.9)
+            error += abs(shells[-1]) * rho / (1.0 - rho)
+            return value, error, evals
+        if evals >= max_evals or k >= _MAX_SHELLS:
+            raise ToleranceNotMet(
+                f"evaluation cap reached {where}",
+                QuadratureResult(value, error, evals),
+            )
+
+
 def integrate_radial(f, r_lo, r_hi, singular_exponent=0.0,
                      rtol=DEFAULT_RTOL, max_evals=DEFAULT_MAX_EVALS):
     """Integrate ``f(r) dr`` over ``(r_lo, r_hi)``, ``r_hi`` may be ``inf``.
@@ -152,101 +197,31 @@ def integrate_radial(f, r_lo, r_hi, singular_exponent=0.0,
         v, e, n = _adaptive(f, r_lo, r_hi, rtol, max_evals)
         return QuadratureResult(v, e, n)
 
-    # where the regular part starts once the origin is dealt with
-    a_in = r_lo if r_lo > 0.0 else min(1.0, r_hi)
-
     if r_lo == 0.0:
         # shells shrinking toward the origin: [b0/2^{k+1}, b0/2^k]
         b0 = min(r_hi, 1.0)
-        shells = []
-        hi = b0
-        while True:
-            lo = hi * 0.5
-            v, e, n = _adaptive(f, lo, hi, rtol * max(abs(value), 1.0) * 0.1,
-                                max_evals - evals)
-            evals += n
-            value += v
-            error += e
-            shells.append(v)
-            hi = lo
-            k = len(shells)
-            if k >= _DIVERGENCE_LEVELS + 1:
-                ratios = [
-                    abs(shells[-i]) / abs(shells[-i - 1])
-                    for i in range(1, _DIVERGENCE_LEVELS + 1)
-                    if abs(shells[-i - 1]) > 0
-                ]
-                if (len(ratios) == _DIVERGENCE_LEVELS
-                        and min(ratios) >= _DIVERGENCE_RATIO
-                        and abs(shells[-1]) > rtol * max(abs(value), 1e-300)):
-                    raise DivergenceDetected(
-                        "shell contributions near 0 are not decaying "
-                        f"(last {abs(shells[-1]):.3e} vs total {value:.3e})"
-                    )
-            if abs(v) <= rtol * max(abs(value), 1e-300) and k >= 4:
-                # geometric remainder estimate from the observed decay
-                rho = abs(shells[-1]) / abs(shells[-2]) if abs(shells[-2]) > 0 else 0.0
-                rho = min(rho, 0.9)
-                error += abs(shells[-1]) * rho / (1.0 - rho)
-                break
-            if evals >= max_evals or k >= _MAX_SHELLS:
-                raise ToleranceNotMet(
-                    "evaluation cap reached near the origin",
-                    QuadratureResult(value, error, evals),
-                )
+        value, error, evals = _walk_shells(
+            f, b0, 0.5, value, error, evals, rtol, max_evals,
+            "shell contributions near 0", "near the origin")
         if math.isfinite(r_hi) and r_hi > b0:
             v, e, n = _adaptive(f, b0, r_hi, rtol * max(abs(value), 1.0),
                                 max_evals - evals)
             evals += n
             value += v
             error += e
-            a_in = r_hi
-        else:
-            a_in = b0
 
     if not math.isfinite(r_hi):
-        # shells growing toward infinity: [a0 2^k, a0 2^{k+1}]
-        a0 = max(a_in, r_lo, 1e-12)
+        # shells growing toward infinity: [a0 2^k, a0 2^{k+1}], from 1
+        # when the origin was walked and from r_lo otherwise
+        a0 = max(r_lo if r_lo > 0.0 else 1.0, 1e-12)
         if r_lo > 0.0 and r_lo < a0:
             v, e, n = _adaptive(f, r_lo, a0, rtol, max_evals - evals)
             evals += n
             value += v
             error += e
-        shells = []
-        lo = a0
-        while True:
-            hi = lo * 2.0
-            v, e, n = _adaptive(f, lo, hi, rtol * max(abs(value), 1.0) * 0.1,
-                                max_evals - evals)
-            evals += n
-            value += v
-            error += e
-            shells.append(v)
-            lo = hi
-            k = len(shells)
-            if k >= _DIVERGENCE_LEVELS + 1:
-                ratios = [
-                    abs(shells[-i]) / abs(shells[-i - 1])
-                    for i in range(1, _DIVERGENCE_LEVELS + 1)
-                    if abs(shells[-i - 1]) > 0
-                ]
-                if (len(ratios) == _DIVERGENCE_LEVELS
-                        and min(ratios) >= _DIVERGENCE_RATIO
-                        and abs(shells[-1]) > rtol * max(abs(value), 1e-300)):
-                    raise DivergenceDetected(
-                        "tail shell contributions are not decaying "
-                        f"(last {abs(shells[-1]):.3e} vs total {value:.3e})"
-                    )
-            if abs(v) <= rtol * max(abs(value), 1e-300) and k >= 4:
-                rho = abs(shells[-1]) / abs(shells[-2]) if abs(shells[-2]) > 0 else 0.0
-                rho = min(rho, 0.9)
-                error += abs(shells[-1]) * rho / (1.0 - rho)
-                break
-            if evals >= max_evals or k >= _MAX_SHELLS:
-                raise ToleranceNotMet(
-                    "evaluation cap reached in the tail",
-                    QuadratureResult(value, error, evals),
-                )
+        value, error, evals = _walk_shells(
+            f, a0, 2.0, value, error, evals, rtol, max_evals,
+            "tail shell contributions", "in the tail")
 
     return QuadratureResult(value, error, max(evals, 1))
 

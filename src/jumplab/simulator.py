@@ -23,16 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EnvelopeViolation, JumpCapExceeded, RangeError
-from .kernels import (
-    BigJumpPowerLaw,
-    BigJumpStretchedExp,
-    CompoundPoissonAtoms,
-    ConeRestriction,
-    HuntDifference,
-    KernelSpec,
-    StableLikeSmall,
-)
-from .quadrature import integrate_radial
+from .kernels import CompoundPoissonAtoms
 
 __all__ = [
     "SimConfig",
@@ -52,7 +43,6 @@ __all__ = [
 DROP = "drop"
 GAUSSIAN = "gaussian_substitute"
 _GAUSS_SUBSTEPS = 64
-_CONE_REJECT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -158,19 +148,6 @@ def _rng_for_path(base_seed, path_index):
     return _PATH_GEN
 
 
-def _uniform_direction(rng, d, n=None):
-    if d == 1:
-        u = rng.random(n)
-        return np.where(u < 0.5, -1.0, 1.0)[..., None] if n is not None \
-            else np.array([-1.0 if u < 0.5 else 1.0])
-    shape = (n, d) if n is not None else (d,)
-    v = rng.standard_normal(shape)
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    # a zero draw has probability zero; guard anyway
-    norm[norm == 0] = 1.0
-    return v / norm
-
-
 def auto_epsilon(kernel, grid_points, fraction=0.01, floor=1e-4):
     """Largest dyadic epsilon whose truncated variance stays below
     ``fraction`` of the second-moment trace over the grid."""
@@ -186,155 +163,6 @@ def auto_epsilon(kernel, grid_points, fraction=0.01, floor=1e-4):
             return eps
         eps *= 0.5
     return eps
-
-
-# --- per-family tail samplers ------------------------------------------------
-
-
-class _HuntRadialTable:
-    """Numerical inverse CDF for the radial law ``r^{-1-alpha(r)}`` on
-    ``[eps, R]``; the shape does not depend on the state, only the
-    total mass does, so one table serves every state."""
-
-    def __init__(self, alpha_r, eps, n=4096):
-        # extend until the remaining tail is negligible
-        R = max(4.0, 1.0 / eps)
-        while True:
-            tail = integrate_radial(
-                lambda r: r ** (-1.0 - alpha_r((r,))), R, math.inf, 0.0
-            ).value
-            body = integrate_radial(
-                lambda r: r ** (-1.0 - alpha_r((r,))), eps, R, 0.0
-            ).value
-            if tail <= 1e-12 * body:
-                break
-            R *= 4.0
-        grid = np.exp(np.linspace(math.log(eps), math.log(R), n))
-        dens = np.array([r ** (-1.0 - alpha_r((r,))) for r in grid])
-        mids = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
-        cdf = np.concatenate([[0.0], np.cumsum(mids)])
-        self.grid = grid
-        self.cdf = cdf / cdf[-1]
-
-    def sample(self, u):
-        return float(np.interp(u, self.cdf, self.grid))
-
-
-class _TailSampler:
-    """Draws z from the normalized tail measure of one component."""
-
-    def __init__(self, comp, d, eps):
-        self.comp = comp
-        self.d = d
-        self.eps = eps
-        self.hunt_table = None
-        if isinstance(comp, HuntDifference):
-            self.hunt_table = _HuntRadialTable(comp.alpha_r, eps)
-        if isinstance(comp, ConeRestriction):
-            self.base_sampler = _TailSampler(comp.base, d, eps)
-        if isinstance(comp, CompoundPoissonAtoms):
-            pairs = [(w, z) for w, z in comp.atoms
-                     if np.linalg.norm(z) >= eps]
-            weights = np.array([w for w, _ in pairs])
-            self._atom_matrix = np.array([z for _, z in pairs], dtype=float)
-            # same cdf construction as Generator.choice(p=...), so the
-            # searchsorted draws below consume the identical stream
-            cdf = (weights / weights.sum()).cumsum()
-            self._atom_cdf = cdf / cdf[-1]
-
-    def rate(self, x):
-        return self.comp.tail_mass(x, self.eps, self.d).value
-
-    def draw(self, rng, x):
-        comp, d, eps = self.comp, self.d, self.eps
-        if isinstance(comp, CompoundPoissonAtoms):
-            k = int(self._atom_cdf.searchsorted(rng.random(), side="right"))
-            rng.random()  # keep the draw count uniform across families
-            return self._atom_matrix[k].copy()
-        if isinstance(comp, ConeRestriction):
-            for _ in range(_CONE_REJECT_CAP):
-                z = self.base_sampler.draw(rng, x)
-                if comp.predicate(z):
-                    return z
-            raise EnvelopeViolation(
-                "cone predicate rejected every proposal; "
-                "restricted set may have negligible mass"
-            )
-        r = self._draw_radius(rng, x)
-        theta = _uniform_direction(rng, d)
-        return r * theta
-
-    def _draw_radius(self, rng, x):
-        comp, d, eps = self.comp, self.d, self.eps
-        u = rng.random()
-        if isinstance(comp, StableLikeSmall):
-            a = comp.alpha(x)
-            # inverse CDF of r^{-1-alpha} on [eps, 1)
-            lo, hi = eps ** (-a), 1.0
-            return (lo - u * (lo - hi)) ** (-1.0 / a)
-        if isinstance(comp, BigJumpPowerLaw):
-            b = comp.beta1(x)
-            m = max(eps, 1.0)
-            return m * (1.0 - u) ** (-1.0 / b)
-        if isinstance(comp, BigJumpStretchedExp):
-            return self._draw_stretched(rng, x, u)
-        if isinstance(comp, HuntDifference):
-            return self.hunt_table.sample(u)
-        raise TypeError(f"no sampler for {type(comp).__name__}")
-
-    def _draw_stretched(self, rng, x, u):
-        comp, d = self.comp, self.d
-        b = comp.beta2(x)
-        lam = comp.lam
-        m = max(self.eps, 1.0)
-        # rejection against a Pareto envelope r^{-1-p} on [m, inf):
-        # density r^{d-1} e^{-lam r^b} <= M r^{-1-p} with the maximum of
-        # r^{d+p} e^{-lam r^b} attained at ((d+p)/(lam b))^{1/b}
-        p = 1.0
-        rstar = max(((d + p) / (lam * b)) ** (1.0 / b), m)
-        logM = (d + p) * math.log(rstar) - lam * rstar**b
-        while True:
-            r = m * (1.0 - u) ** (-1.0 / p)
-            logf = (d - 1) * math.log(r) - lam * r**b
-            logg = -(1.0 + p) * math.log(r)
-            if math.log(rng.random() + 1e-300) <= logf - logg - logM:
-                return r
-            u = rng.random()
-
-    # vectorized radius draws; only families used on the fast path
-    def draw_many(self, rng, x, n):
-        comp, d, eps = self.comp, self.d, self.eps
-        if isinstance(comp, CompoundPoissonAtoms):
-            # n index uniforms then n filler uniforms, drawn in one call
-            u = rng.random(2 * n)
-            ks = self._atom_cdf.searchsorted(u[:n], side="right")
-            return self._atom_matrix[ks]
-        if isinstance(comp, ConeRestriction):
-            # rejection against the base law, one jump at a time
-            return np.array([self.draw(rng, x) for _ in range(n)])
-        u = rng.random(n)
-        if isinstance(comp, StableLikeSmall):
-            a = comp.alpha(x)
-            lo = eps ** (-a)
-            r = (lo - u * (lo - 1.0)) ** (-1.0 / a)
-        elif isinstance(comp, BigJumpPowerLaw):
-            b = comp.beta1(x)
-            r = max(eps, 1.0) * (1.0 - u) ** (-1.0 / b)
-        elif isinstance(comp, HuntDifference):
-            r = np.interp(u, self.hunt_table.cdf, self.hunt_table.grid)
-        else:
-            return np.array([
-                self.comp_draw_single(rng, x, ui) for ui in u
-            ])
-        theta = _uniform_direction(rng, d, n)
-        return r[:, None] * theta
-
-    def comp_draw_single(self, rng, x, u):
-        if isinstance(self.comp, BigJumpStretchedExp):
-            r = self._draw_stretched(rng, x, u)
-        else:
-            raise TypeError(type(self.comp).__name__)
-        return r * _uniform_direction(rng, self.d)
 
 
 # --- the simulator -----------------------------------------------------------
@@ -356,12 +184,12 @@ class ThinningSimulator:
 
             rate_grid = default_grid(kernel.d).points
         self.samplers = [
-            _TailSampler(c, kernel.d, config.epsilon)
+            c.tail_sampler(kernel.d, config.epsilon)
             for c in kernel.components
         ]
         self.state_independent = kernel.is_state_independent()
-        probe = rate_grid if not self.state_independent else \
-            [tuple([0.0] * kernel.d)]
+        origin = tuple([0.0] * kernel.d)
+        probe = [origin] if self.state_independent else rate_grid
         sup = max(
             kernel.total_mass_tail(x, config.epsilon).value for x in probe
         )
@@ -370,8 +198,7 @@ class ThinningSimulator:
         # dropped fraction never change; precompute them once
         self._si_cache = None
         if self.state_independent:
-            origin = tuple([0.0] * kernel.d)
-            rates = np.array([s.rate(origin) for s in self.samplers])
+            rates = self._rates(origin)
             total = float(rates.sum())
             probs = rates / total if total > 0 else rates
             p_accept = total / self.dominating_rate \
@@ -384,6 +211,14 @@ class ThinningSimulator:
             self._si_cache = (
                 p_accept, probs, self._compute_dropped_fraction(origin),
             )
+
+    def _rates(self, x):
+        # one tail_mass call per component and state, which bench/tracer.py
+        # counts as one proposal
+        return np.array([
+            c.tail_mass(x, self.config.epsilon, self.kernel.d).value
+            for c in self.kernel.components
+        ])
 
     # dropped-variance bookkeeping, time-weighted over visited states
     def _compute_dropped_fraction(self, x):
@@ -407,7 +242,7 @@ class ThinningSimulator:
         cfg = self.config
         rng = _rng_for_path(cfg.base_seed, path_index)
         if self.state_independent:
-            times, jumps = self._path_state_independent(rng, x0)
+            times, jumps = self._path_state_independent(rng, x0, cfg.t_end)
         else:
             times, jumps = self._path_sequential(rng, x0)
         frac = self._average_dropped_fraction(x0, times, jumps)
@@ -420,22 +255,18 @@ class ThinningSimulator:
             path = self._substitute_gaussian(rng, path)
         return path
 
-    def _path_state_independent(self, rng, x0):
+    def _path_state_independent(self, rng, x0, t_end):
         # Draw order, which the frozen LIL band depends on: proposal
         # count, proposal times, acceptance uniforms, then the jumps.
         cfg = self.config
         lam_bar = self.dominating_rate
         if lam_bar <= 0.0:
             return np.empty(0), np.empty((0, self.kernel.d))
-        n_prop = int(rng.poisson(lam_bar * cfg.t_end))
+        n_prop = int(rng.poisson(lam_bar * t_end))
         if n_prop > cfg.max_jumps:
             # hand back whatever fits below the cap as a shortened path
-            t_cap = cfg.t_end * (cfg.max_jumps / n_prop)
-            capped = replace(self.config, t_end=t_cap)
-            sub = ThinningSimulator.__new__(ThinningSimulator)
-            sub.__dict__.update(self.__dict__)
-            sub.config = capped
-            times, jumps = sub._path_state_independent(rng, x0)
+            t_cap = t_end * (cfg.max_jumps / n_prop)
+            times, jumps = self._path_state_independent(rng, x0, t_cap)
             partial = Path(
                 x0, t_cap, times, jumps, self._dropped_fraction(x0),
                 (cfg.base_seed, -1), cfg.epsilon,
@@ -450,7 +281,7 @@ class ThinningSimulator:
         u = rng.random(2 * n_prop)
         times = u[:n_prop]
         times.sort()
-        times = times[u[n_prop:] < p_accept] * cfg.t_end
+        times = times[u[n_prop:] < p_accept] * t_end
         k = len(times)
         if k == 0:
             return times, np.empty((0, self.kernel.d))
@@ -488,7 +319,7 @@ class ThinningSimulator:
                     f"max_jumps={cfg.max_jumps} reached at t={t:.6g}",
                     partial=partial,
                 )
-            rates = np.array([s.rate(x) for s in self.samplers])
+            rates = self._rates(x)
             total = rates.sum()
             p = total / lam_bar
             if p > 1.0 + 1e-12:
@@ -564,13 +395,17 @@ class ThinningSimulator:
 
     def _ensemble_parallel(self, x0, n_paths, jobs):
         import concurrent.futures
+        import logging
         import pickle
 
         # the workers get this simulator itself, so they share its
         # dominating rate rather than recomputing it on another grid
         try:
             pickle.dumps(self)
-        except Exception:
+        except Exception as exc:
+            logging.getLogger("jumplab").warning(
+                "simulating serially: the simulator cannot be pickled "
+                "(%s: %s)", type(exc).__name__, exc)
             return [self.path(x0, i) for i in range(n_paths)]
         chunks = np.array_split(np.arange(n_paths), jobs)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:

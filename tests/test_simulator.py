@@ -1,6 +1,7 @@
 """Thinning simulator: determinism, distributional checks, serialization."""
 
 import io
+import logging
 import math
 
 import numpy as np
@@ -103,6 +104,51 @@ class TestDeterminism:
             assert p.jump_times.tobytes() == times.tobytes()
             assert p.jump_vectors.tobytes() == jumps.tobytes()
 
+    def test_state_dependent_draw_order(self):
+        # Rebuild paths of a state-dependent two-component kernel by hand
+        # from the (seed, path) Philox substream: exponential gap,
+        # acceptance uniform, component uniform, radius uniform, then
+        # direction uniform.  The inverse CDFs run on Python floats,
+        # because numpy's array power can differ from float ** float in
+        # the last bit, and jumps drawn one at a time must not change.
+        bump = coeffs.inverse_quadratic_bump(1.0, 0.5)
+        small = StableLikeSmall(bump, bump)
+        big = BigJumpPowerLaw(coeffs.constant(1.0), coeffs.constant(3.0))
+        kernel = KernelSpec(1, (small, big))
+        config = cfg(epsilon=0.05, base_seed=2718)
+        eps = config.epsilon
+        grid = [(v,) for v in np.linspace(-3.0, 3.0, 13)]
+        lam_bar = ThinningSimulator(kernel, config, grid).dominating_rate
+        for i in range(4):
+            rng = np.random.Generator(
+                np.random.Philox(key=[config.base_seed, i])
+            )
+            t, x = 0.0, np.zeros(1)
+            times, jumps = [], []
+            while True:
+                t += rng.exponential(1.0 / lam_bar)
+                if t > config.t_end:
+                    break
+                rates = [c.tail_mass(x, eps, 1).value for c in (small, big)]
+                total = rates[0] + rates[1]
+                if rng.random() >= total / lam_bar:
+                    continue
+                if rng.random() <= rates[0] / total:
+                    a = small.alpha(x)
+                    lo = eps ** (-a)
+                    r = (lo - rng.random() * (lo - 1.0)) ** (-1.0 / a)
+                else:
+                    r = (1.0 - rng.random()) ** (-1.0 / big.beta1(x))
+                z = r * (-1.0 if rng.random() < 0.5 else 1.0)
+                times.append(t)
+                jumps.append([z])
+                x = x + z
+            assert len(times) > 50
+            p = simulate_path(kernel, (0.0,), config, path_index=i,
+                              rate_grid=grid)
+            assert np.array_equal(p.jump_times, np.array(times))
+            assert np.array_equal(p.jump_vectors, np.array(jumps))
+
     def test_jobs_do_not_change_results(self):
         e1 = simulate_ensemble(ATOMS, (0.0,), cfg(), 20, jobs=1)
         e4 = simulate_ensemble(ATOMS, (0.0,), cfg(), 20, jobs=4)
@@ -123,6 +169,29 @@ class TestDeterminism:
         for a, b in zip(e1.paths, e2.paths):
             assert a.jump_times.tobytes() == b.jump_times.tobytes()
             assert a.jump_vectors.tobytes() == b.jump_vectors.tobytes()
+
+    def test_unpicklable_simulator_warns_and_runs_serially(self, caplog):
+        k = KernelSpec(2, (ConeRestriction(
+            BigJumpPowerLaw(coeffs.constant(1.0), coeffs.constant(3.0)),
+            lambda z: z[0] > 0.0,
+        ),))
+        config = cfg(t_end=3.0)
+        e1 = simulate_ensemble(k, (0.0, 0.0), config, 6, jobs=1)
+        with caplog.at_level(logging.WARNING, logger="jumplab"):
+            e2 = simulate_ensemble(k, (0.0, 0.0), config, 6, jobs=2)
+        [record] = caplog.records
+        assert record.name == "jumplab"
+        # the message says what happened and names the unpicklable object
+        assert "serially" in record.getMessage()
+        assert "<lambda>" in record.getMessage()
+        for a, b in zip(e1.paths, e2.paths):
+            assert a.jump_times.tobytes() == b.jump_times.tobytes()
+            assert a.jump_vectors.tobytes() == b.jump_vectors.tobytes()
+        # a picklable simulator goes to the workers without a warning
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="jumplab"):
+            simulate_ensemble(ATOMS, (0.0,), cfg(), 4, jobs=2)
+        assert not caplog.records
 
 
 def right_half_plane(z):
