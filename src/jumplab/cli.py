@@ -25,13 +25,9 @@ from . import __version__, estimators, svgplot, validators
 from .config import load_config
 from .errors import ConfigError, JumplabError
 from .estimators import EE, TEST_FUNCTIONS
-from .simulator import ThinningSimulator, write_path_csv
+from .simulator import ThinningSimulator, _fmt, write_path_csv
 
 __all__ = ["main"]
-
-
-def _fmt(v):
-    return repr(float(v))
 
 
 def _out_root(args):
@@ -69,75 +65,28 @@ def _write_manifest(root, cfg, command, files, started):
         fh.write("\n")
 
 
-def _validate(cfg):
-    return validators.run_all(cfg.kernel, cfg.grid, cfg.envelopes)
-
-
-def cmd_validate(cfg, args):
-    started = time.monotonic()
-    root, dirs = _run_dirs(cfg, args)
-    report = _validate(cfg)
-    path = dirs["reports"] / "validation.txt"
-    path.write_text(report.to_text(), encoding="utf-8")
-    for c in report.checks:
-        print(f"{c.verdict.upper():9s} {c.name}")
-    _write_manifest(root, cfg, "validate", [path], started)
-    return 1 if report.has_fail else 0
-
-
-def _simulate(cfg, args):
-    sim_cfg = cfg.sim
-    if args.seed_override is not None:
-        sim_cfg = dataclasses.replace(sim_cfg, base_seed=args.seed_override)
-    sim = ThinningSimulator(cfg.kernel, sim_cfg, rate_grid=cfg.grid.points)
-    return sim.ensemble(cfg.x0, cfg.n_paths, jobs=args.jobs)
-
-
-def cmd_simulate(cfg, args):
-    started = time.monotonic()
-    root, dirs = _run_dirs(cfg, args)
-    files = []
-    if not args.force:
-        report = _validate(cfg)
-        vr = dirs["reports"] / "validation.txt"
-        vr.write_text(report.to_text(), encoding="utf-8")
-        files.append(vr)
-        if report.has_fail:
-            failed = [c.name for c in report.checks if c.failed]
-            print(f"validation failed ({', '.join(failed)}); "
-                  "rerun with --force to simulate anyway", file=sys.stderr)
-            _write_manifest(root, cfg, "simulate", files, started)
-            return 1
-    ens = _simulate(cfg, args)
-    if cfg.write_paths:
-        width = len(str(cfg.n_paths - 1))
-        for k, p in enumerate(ens.paths):
-            f = dirs["paths"] / f"path_{k:0{width}d}.csv"
-            with open(f, "w", encoding="utf-8", newline="") as fh:
-                write_path_csv(p, fh)
-            files.append(f)
-    total = sum(p.n_jumps for p in ens.paths)
-    print(f"simulated {ens.n_paths} paths, {total} jumps")
-    _write_manifest(root, cfg, "simulate", files, started)
-    return 0
+def _write_csv(files, path, header, rows):
+    """One line per ``(label, numbers)`` row: the label's columns, then
+    the numbers as shortest round-trip floats."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for label, numbers in rows:
+            fh.write(f"{label},{','.join(map(_fmt, numbers))}\n")
+    files.append(path)
 
 
 # --- analyses ----------------------------------------------------------------
 
 
 def _an_martingale(cfg, ens, spec, dirs, files):
-    t = float(spec.params.get("t", cfg.sim.t_end))
+    t = spec.number("t", cfg.sim.t_end)
     # the report at t and the plot's 20 times share one pass over paths
     times = np.linspace(t / 20.0, t, 20)
     series = estimators.martingale_series(ens, [*times, t])
     rep = series.pop()
-    f = dirs["reports"] / "martingale.csv"
-    with open(f, "w", encoding="utf-8", newline="") as fh:
-        fh.write("coordinate,mean,se,z_score\n")
-        for i in range(len(rep.mean)):
-            fh.write(f"{i + 1},{_fmt(rep.mean[i])},{_fmt(rep.se[i])},"
-                     f"{_fmt(rep.z_scores[i])}\n")
-    files.append(f)
+    _write_csv(files, dirs["reports"] / "martingale.csv",
+               "coordinate,mean,se,z_score",
+               enumerate(zip(rep.mean, rep.se, rep.z_scores), 1))
     fig = svgplot.Figure(
         title="Martingale test: mean displacement with 3 SE bands",
         xlabel="t", ylabel="mean(X_t - x0)",
@@ -157,18 +106,14 @@ def _an_martingale(cfg, ens, spec, dirs, files):
 
 
 def _an_moment_identity(cfg, ens, spec, dirs, files):
-    t = float(spec.params.get("t", cfg.sim.t_end))
-    rtol = float(spec.params.get("rtol", 0.05))
+    t = spec.number("t", cfg.sim.t_end)
+    rtol = spec.number("rtol", 0.05)
     rep = estimators.second_moment_identity(ens, cfg.kernel, t)
-    f = dirs["reports"] / "moment_identity.csv"
-    with open(f, "w", encoding="utf-8", newline="") as fh:
-        fh.write("coordinate,sample_second_moment,se,"
-                 "predictable_integral,relative_difference\n")
-        for i in range(len(rep.lhs)):
-            fh.write(f"{i + 1},{_fmt(rep.lhs[i])},{_fmt(rep.lhs_se[i])},"
-                     f"{_fmt(rep.rhs[i])},"
-                     f"{_fmt(rep.relative_difference[i])}\n")
-    files.append(f)
+    _write_csv(files, dirs["reports"] / "moment_identity.csv",
+               "coordinate,sample_second_moment,se,"
+               "predictable_integral,relative_difference",
+               enumerate(zip(rep.lhs, rep.lhs_se, rep.rhs,
+                             rep.relative_difference), 1))
     within = np.abs(rep.lhs - rep.rhs) <= 3.0 * np.maximum(rep.lhs_se, 0.0)
     ok = bool(np.all(
         (np.abs(rep.relative_difference) <= rtol) | within
@@ -178,22 +123,15 @@ def _an_moment_identity(cfg, ens, spec, dirs, files):
 
 
 def _an_qv(cfg, ens, spec, dirs, files):
-    t = float(spec.params.get("t", cfg.sim.t_end))
+    t = spec.number("t", cfg.sim.t_end)
     rep = estimators.qv_comparison(ens, cfg.kernel, t)
     d = cfg.kernel.d
-    f = dirs["reports"] / "qv.csv"
-    with open(f, "w", encoding="utf-8", newline="") as fh:
-        fh.write("i,j,realized_mean,predictable_mean,diff_mean,diff_se,"
-                 "z_score\n")
-        for i in range(d):
-            for j in range(d):
-                fh.write(
-                    f"{i + 1},{j + 1},{_fmt(rep.realized_mean[i, j])},"
-                    f"{_fmt(rep.predictable_mean[i, j])},"
-                    f"{_fmt(rep.diff_mean[i, j])},{_fmt(rep.diff_se[i, j])},"
-                    f"{_fmt(rep.z_scores[i, j])}\n"
-                )
-    files.append(f)
+    _write_csv(files, dirs["reports"] / "qv.csv",
+               "i,j,realized_mean,predictable_mean,diff_mean,diff_se,z_score",
+               ((f"{i + 1},{j + 1}",
+                 (rep.realized_mean[i, j], rep.predictable_mean[i, j],
+                  rep.diff_mean[i, j], rep.diff_se[i, j], rep.z_scores[i, j]))
+                for i in range(d) for j in range(d)))
     fig = svgplot.Figure(
         title="Quadratic variation: realized vs predictable",
         xlabel="predictable mean", ylabel="realized mean",
@@ -211,18 +149,15 @@ def _an_qv(cfg, ens, spec, dirs, files):
 
 
 def _an_generator(cfg, ens, spec, dirs, files):
-    t = float(spec.params.get("t", cfg.sim.t_end))
+    t = spec.number("t", cfg.sim.t_end)
     fname = spec.params.get("function", "square_first").strip()
     if fname not in TEST_FUNCTIONS:
         raise ConfigError(f"[analysis.generator] unknown function {fname!r}; "
                           f"choose from {sorted(TEST_FUNCTIONS)}")
     rep = estimators.generator_martingale_test(ens, cfg.kernel, fname, t)
-    f = dirs["reports"] / "generator.csv"
-    with open(f, "w", encoding="utf-8", newline="") as fh:
-        fh.write("function,t,mean,se,z_score\n")
-        fh.write(f"{rep.function},{_fmt(rep.t)},{_fmt(rep.mean)},"
-                 f"{_fmt(rep.se)},{_fmt(rep.z_score)}\n")
-    files.append(f)
+    _write_csv(files, dirs["reports"] / "generator.csv",
+               "function,t,mean,se,z_score",
+               [(rep.function, (rep.t, rep.mean, rep.se, rep.z_score))])
     return rep.passed, f"{fname}: z = {rep.z_score:.3f}"
 
 
@@ -232,9 +167,8 @@ def _calibrated_band():
 
 
 def _an_lil(cfg, ens, spec, dirs, files):
-    p = spec.params
     t_end = cfg.sim.t_end
-    t0 = float(p.get("t_start", 16.0))
+    t0 = spec.number("t_start", 16.0)
     if t0 < EE:
         raise ConfigError(f"[analysis.lil] t_start must be >= e^e ~ "
                           f"{EE:.3f}")
@@ -244,33 +178,27 @@ def _an_lil(cfg, ens, spec, dirs, files):
         checkpoints.append(t)
         t *= 2.0
     checkpoints.append(t_end)
-    direction = tuple(
-        float(v) for v in p.get("direction", "1").split(",")
-    )
+    direction = spec.numbers("direction", (1.0,))
     if len(direction) != cfg.kernel.d:
         raise ConfigError("[analysis.lil] direction has wrong dimension")
     ell = validators.check_ellipticity(cfg.kernel, cfg.grid)
     lam = ell.evidence.get("lambda_hat", 0.0)
     Lam = ell.evidence.get("Lambda_hat", 0.0)
-    tail_lb = float(p.get("tail_lower_bound", 0.0))
+    tail_lb = spec.number("tail_lower_bound", 0.0)
     rep = estimators.lil_statistics(
         ens, direction, checkpoints, lam, Lam, tail_lb, kernel=cfg.kernel,
     )
-    if "band" in p:
-        band_lo, band_hi = (float(v) for v in p["band"].split(","))
-    else:
+    band = spec.numbers("band", None, 2)
+    if band is None:
         cal = _calibrated_band()
-        band_lo, band_hi = cal["band_lo"], cal["band_hi"]
-    coverage_req = float(p.get("coverage", 0.9))
+        band = cal["band_lo"], cal["band_hi"]
+    band_lo, band_hi = band
+    coverage_req = spec.number("coverage", 0.9)
     run = rep.running_max_directional
     covered = float(np.mean((run >= band_lo) & (run <= band_hi)))
-    f = dirs["reports"] / "lil.csv"
-    with open(f, "w", encoding="utf-8", newline="") as fh:
-        fh.write("path,running_max_directional,running_max_radial\n")
-        for k in range(len(run)):
-            fh.write(f"{k},{_fmt(run[k])},"
-                     f"{_fmt(rep.running_max_radial[k])}\n")
-    files.append(f)
+    _write_csv(files, dirs["reports"] / "lil.csv",
+               "path,running_max_directional,running_max_radial",
+               enumerate(zip(run, rep.running_max_radial)))
     fig = svgplot.Figure(
         title="Iterated-logarithm statistic: running max |W_t|",
         xlabel="t", ylabel="running max |W|", log_x=True,
@@ -301,25 +229,58 @@ _ANALYSES = {
 }
 
 
-def cmd_analyze(cfg, args):
+# --- the pipeline ------------------------------------------------------------
+
+
+def _run(cfg, args):
+    """Validate, then simulate, then analyze; each command stops after its
+    own stage.  The manifest lists every file the stages wrote."""
     started = time.monotonic()
     root, dirs = _run_dirs(cfg, args)
-    if not cfg.analyses:
+    if args.command == "analyze" and not cfg.analyses:
         print("no [analysis.*] sections in config", file=sys.stderr)
         return 2
     files = []
-    if not args.force:
-        report = _validate(cfg)
+    code = _stages(cfg, args, dirs, files)
+    _write_manifest(root, cfg, args.command, files, started)
+    return code
+
+
+def _stages(cfg, args, dirs, files):
+    """The stages up to ``args.command``; returns its exit code."""
+    command = args.command
+    if command == "validate" or not args.force:
+        report = validators.run_all(cfg.kernel, cfg.grid)
         vr = dirs["reports"] / "validation.txt"
         vr.write_text(report.to_text(), encoding="utf-8")
         files.append(vr)
+        if command == "validate":
+            for c in report.checks:
+                print(f"{c.verdict.upper():9s} {c.name}")
+            return 1 if report.has_fail else 0
         if report.has_fail:
             failed = [c.name for c in report.checks if c.failed]
             print(f"validation failed ({', '.join(failed)}); "
-                  "rerun with --force to analyze anyway", file=sys.stderr)
-            _write_manifest(root, cfg, "analyze", files, started)
+                  f"rerun with --force to {command} anyway", file=sys.stderr)
             return 1
-    ens = _simulate(cfg, args)
+
+    sim_cfg = cfg.sim
+    if args.seed_override is not None:
+        sim_cfg = dataclasses.replace(sim_cfg, base_seed=args.seed_override)
+    sim = ThinningSimulator(cfg.kernel, sim_cfg, rate_grid=cfg.grid.points)
+    ens = sim.ensemble(cfg.x0, cfg.n_paths, jobs=args.jobs)
+    if cfg.write_paths:
+        width = len(str(cfg.n_paths - 1))
+        for k, p in enumerate(ens.paths):
+            f = dirs["paths"] / f"path_{k:0{width}d}.csv"
+            with open(f, "w", encoding="utf-8", newline="") as fh:
+                write_path_csv(p, fh)
+            files.append(f)
+    if command == "simulate":
+        total = sum(p.n_jumps for p in ens.paths)
+        print(f"simulated {ens.n_paths} paths, {total} jumps")
+        return 0
+
     any_failed = False
     summary_lines = []
     for spec in cfg.analyses:
@@ -332,7 +293,6 @@ def cmd_analyze(cfg, args):
     summary = dirs["reports"] / "analysis_summary.txt"
     summary.write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
     files.append(summary)
-    _write_manifest(root, cfg, "analyze", files, started)
     return 1 if any_failed else 0
 
 
@@ -343,9 +303,7 @@ def _build_parser():
                     "jumping kernels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("validate", cmd_validate),
-                     ("simulate", cmd_simulate),
-                     ("analyze", cmd_analyze)):
+    for name in ("validate", "simulate", "analyze"):
         p = sub.add_parser(name)
         p.add_argument("config", help="experiment config file")
         p.add_argument("--force", action="store_true",
@@ -356,7 +314,6 @@ def _build_parser():
                        help="output root (overrides JUMPLAB_OUT)")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace the config base seed")
-        p.set_defaults(fn=fn)
     return parser
 
 
@@ -364,7 +321,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.fn(cfg, args)
+        return _run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

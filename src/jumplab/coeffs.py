@@ -1,9 +1,10 @@
 """Scalar coefficient functions of the state, with declared bounds.
 
 A :class:`CoefficientFn` wraps a parsed expression (or a plain constant)
-together with the bounds the user claims for it.  The bounds are what
-the validators check kernels against; for the builtin families below
-they hold analytically.
+together with the bounds the user claims for it, or, in a config without
+``*_bounds``, the bounds observed where it was parsed.  No validator
+checks a coefficient against its bounds yet; for the builtin families
+below they hold analytically.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ class CoefficientFn:
 
     def is_constant(self):
         return self.expr.is_constant()
-
-    @property
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("coefficient is not constant")
-        return exprlang.evaluate(self.expr, (0.0,))
 
 
 def constant(value):

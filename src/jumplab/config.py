@@ -38,9 +38,9 @@ from .kernels import (
     BigJumpStretchedExp,
     CompoundPoissonAtoms,
     ConeRestriction,
-    EnvelopePair,
     HuntDifference,
     KernelSpec,
+    StableLikeSmall,
 )
 from .simulator import DROP, GAUSSIAN, SimConfig
 from .validators import StateGrid, default_grid
@@ -77,6 +77,16 @@ class AnalysisSpec:
     name: str
     params: dict = field(default_factory=dict)
 
+    def numbers(self, key, default, n=None):
+        """The comma-separated numbers under ``key``, or ``default``."""
+        raw = self.params.get(key)
+        if raw is None:
+            return default
+        return _floats(raw, n, f"analysis.{self.name}", key)
+
+    def number(self, key, default):
+        return self.numbers(key, (default,), 1)[0]
+
 
 @dataclass
 class ExperimentConfig:
@@ -86,7 +96,6 @@ class ExperimentConfig:
     n_paths: int
     x0: tuple
     analyses: list
-    envelopes: EnvelopePair = None
     write_paths: bool = True
     source_text: str = ""
 
@@ -103,11 +112,16 @@ def _fail(section, msg):
     raise ConfigError(f"[{section}] {msg}")
 
 
-def _coeff(parser, section, key, d, grid_points, required=True, default=None):
+# radial coefficients (alpha_r) are functions of r = |z| alone; without
+# declared bounds, their observed bounds are taken over these radii
+_RADII = [(r,) for r in np.geomspace(1e-4, 1e4, 201)]
+
+
+def _coeff(parser, section, key, d, points):
+    """Coefficient ``key`` with its declared ``*_bounds``, or else the
+    bounds observed at ``points``."""
     if not parser.has_option(section, key):
-        if required:
-            _fail(section, f"missing coefficient {key!r}")
-        return default
+        _fail(section, f"missing coefficient {key!r}")
     raw = parser.get(section, key).strip().strip('"')
     try:
         expr = exprlang.parse(raw)
@@ -120,8 +134,7 @@ def _coeff(parser, section, key, d, grid_points, required=True, default=None):
     if parser.has_option(section, bkey):
         lo, hi = _floats(parser.get(section, bkey), 2, section, bkey)
     else:
-        # observed bounds over the grid, advisory
-        vals = [exprlang.evaluate(expr, p) for p in grid_points]
+        vals = [exprlang.evaluate(expr, p) for p in points]
         lo, hi = min(vals), max(vals)
     return coeffs.CoefficientFn(expr, lo, hi, raw)
 
@@ -142,7 +155,13 @@ def _component(parser, section, d, grid_points):
         _fail(section, "missing family")
     family = family.strip()
     if family == "stable_like_small":
-        return StableLikeSmallFactory(parser, section, d, grid_points)
+        return StableLikeSmall(
+            _coeff(parser, section, "c", d, grid_points),
+            _coeff(parser, section, "alpha", d, grid_points),
+            bass_normalized=parser.getboolean(
+                section, "bass_normalized", fallback=False
+            ),
+        )
     if family == "big_jump_power_law":
         return BigJumpPowerLaw(
             _coeff(parser, section, "c0", d, grid_points),
@@ -190,54 +209,9 @@ def _component(parser, section, d, grid_points):
     if family == "hunt_difference":
         return HuntDifference(
             _coeff(parser, section, "c", d, grid_points),
-            _radial_coeff(parser, section, "alpha_r"),
+            _coeff(parser, section, "alpha_r", 1, _RADII),
         )
     _fail(section, f"unknown family {family!r}")
-
-
-def _radial_coeff(parser, section, key):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        _fail(section, f"missing {key}")
-    raw = raw.strip().strip('"')
-    try:
-        expr = exprlang.parse(raw)
-    except (ExprSyntaxError, UnknownIdentifier) as exc:
-        _fail(section, f"{key} = {raw!r}: {exc}")
-    bkey = f"{key}_bounds"
-    if parser.has_option(section, bkey):
-        lo, hi = _floats(parser.get(section, bkey), 2, section, bkey)
-    else:
-        rs = np.geomspace(1e-4, 1e4, 201)
-        vals = [exprlang.evaluate(expr, (r,)) for r in rs]
-        lo, hi = min(vals), max(vals)
-    return coeffs.CoefficientFn(expr, lo, hi, raw)
-
-
-def StableLikeSmallFactory(parser, section, d, grid_points):
-    from .kernels import StableLikeSmall
-
-    return StableLikeSmall(
-        _coeff(parser, section, "c", d, grid_points),
-        _coeff(parser, section, "alpha", d, grid_points),
-        bass_normalized=parser.getboolean(
-            section, "bass_normalized", fallback=False
-        ),
-    )
-
-
-def _kernel_from(parser, list_section, list_key, d, grid_points):
-    raw = parser.get(list_section, list_key, fallback=None)
-    if raw is None:
-        return None
-    names = [n.strip() for n in raw.split(",") if n.strip()]
-    comps = []
-    for name in names:
-        section = f"component.{name}"
-        if not parser.has_section(section):
-            _fail(list_section, f"no section [{section}]")
-        comps.append(_component(parser, section, d, grid_points))
-    return KernelSpec(d, tuple(comps))
 
 
 def load_config(path):
@@ -258,25 +232,22 @@ def load_config(path):
     if d not in (1, 2, 3):
         _fail("kernel", f"dimension must be 1, 2 or 3, got {d}")
 
-    extent = parser.getfloat("grid", "extent", fallback=None) \
-        if parser.has_section("grid") else None
-    npts = parser.getint("grid", "points", fallback=None) \
-        if parser.has_section("grid") else None
-    grid = default_grid(d, extent, npts)
-
-    kernel = _kernel_from(parser, "kernel", "components", d, grid.points)
-    if kernel is None:
+    grid = default_grid(d, parser.getfloat("grid", "extent", fallback=None),
+                        parser.getint("grid", "points", fallback=None))
+    raw = parser.get("kernel", "components", fallback=None)
+    if raw is None:
         _fail("kernel", "missing components list")
-
-    envelopes = None
+    comps = []
+    for name in [n.strip() for n in raw.split(",") if n.strip()]:
+        section = f"component.{name}"
+        if not parser.has_section(section):
+            _fail("kernel", f"no section [{section}]")
+        comps.append(_component(parser, section, d, grid.points))
+    kernel = KernelSpec(d, tuple(comps))
     if parser.has_section("envelope"):
-        nu1 = _kernel_from(parser, "envelope", "nu1_components", d,
-                           grid.points)
-        nu2 = _kernel_from(parser, "envelope", "nu2_components", d,
-                           grid.points)
-        if nu2 is None:
-            _fail("envelope", "missing nu2_components")
-        envelopes = EnvelopePair(nu1, nu2)
+        # check_envelopes needs jump samples z, which a config cannot give
+        _fail("envelope", "envelope checks are not run from configs; call "
+                          "validators.check_envelopes with z samples")
 
     if not parser.has_section("sim"):
         raise ConfigError("missing [sim] section")
@@ -316,8 +287,7 @@ def load_config(path):
         params = dict(parser.items(section))
         analyses.append(AnalysisSpec(name, params))
 
-    write_paths = parser.getboolean("output", "write_paths", fallback=True) \
-        if parser.has_section("output") else True
+    write_paths = parser.getboolean("output", "write_paths", fallback=True)
 
     return ExperimentConfig(
         kernel=kernel,
@@ -326,7 +296,6 @@ def load_config(path):
         n_paths=n_paths,
         x0=x0,
         analyses=analyses,
-        envelopes=envelopes,
         write_paths=write_paths,
         source_text=text,
     )

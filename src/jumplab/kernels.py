@@ -103,7 +103,8 @@ def _uniform_direction(rng, d, n=None):
 #
 # Every component implements one protocol, so that KernelSpec, the
 # simulator and the estimators only sum over components:
-#   coefficients                 -- its CoefficientFns (a cone's are its base's)
+#   coefficients                 -- its coefficients of the state (a cone's
+#                                   are its base's)
 #   odd_symmetric / isotropic / atomic flags
 #   density(x, z, d)             -- atoms raise
 #   second_moment(x, d), tail_mass(x, eps, d), dropped_variance(x, eps, d)
@@ -630,7 +631,8 @@ class HuntDifference(_Isotropic):
 
     @property
     def coefficients(self):
-        return (self.c, self.alpha_r)
+        # alpha_r is a function of r = |z|, not of the state
+        return (self.c,)
 
     def support(self, d):
         return (0.0, math.inf)

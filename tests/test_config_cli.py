@@ -7,9 +7,15 @@ import pytest
 
 from jumplab import coeffs
 from jumplab.cli import main
-from jumplab.config import config_hash, load_config
+from jumplab.config import FirstCoordinatePositive, config_hash, load_config
 from jumplab.errors import ConfigError
-from jumplab.kernels import StableLikeSmall
+from jumplab.kernels import (
+    BigJumpPowerLaw,
+    BigJumpStretchedExp,
+    ConeRestriction,
+    HuntDifference,
+    StableLikeSmall,
+)
 from jumplab.svgplot import Figure
 
 CONFIGS = FSPath(__file__).resolve().parent.parent / "configs"
@@ -41,6 +47,32 @@ write_paths = true
 
 [analysis.martingale]
 t = 1.0
+"""
+
+
+# one component, [component.main], over an optional [component.base]
+ONE_COMPONENT = """\
+[kernel]
+dimension = 1
+components = main
+
+[component.main]
+{main}
+[component.base]
+family = big_jump_power_law
+c0 = 2.0
+beta1 = 3.0
+
+[grid]
+extent = 2
+points = 5
+
+[sim]
+t_end = 1.0
+epsilon = 0.1
+base_seed = 1
+n_paths = 1
+x0 = 0.0
 """
 
 
@@ -113,6 +145,72 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="x0"):
             load_config(write(tmp_path, bad))
 
+    def test_families_no_shipped_config_uses(self, tmp_path):
+        def load(body):
+            text = ONE_COMPONENT.format(main=body)
+            return load_config(write(tmp_path, text)).kernel.components[0]
+
+        def missing(body, key, message):
+            cut = "".join(line for line in body.splitlines(True)
+                          if not line.startswith(f"{key} ="))
+            with pytest.raises(ConfigError, match=message):
+                load(cut)
+
+        x = (0.7,)
+        body = ("family = big_jump_stretched_exp\nc0 = 2.0\nlambda = 0.5\n"
+                "beta2 = 0.75\nbeta2_bounds = 0.5, 1\n")
+        comp = load(body)
+        assert isinstance(comp, BigJumpStretchedExp)
+        assert (comp.c0(x), comp.lam, comp.beta2(x)) == (2.0, 0.5, 0.75)
+        assert (comp.c0.lo, comp.c0.hi) == (2.0, 2.0)
+        assert (comp.beta2.lo, comp.beta2.hi) == (0.5, 1.0)
+        missing(body, "lambda", r"\[component\.main\] missing lambda")
+
+        body = ("family = hunt_difference\nc = 1.5\n"
+                "alpha_r = 1 + 0.5*clamp(r, 0, 1)\nalpha_r_bounds = 0.9, 1.6\n")
+        comp = load(body)
+        assert isinstance(comp, HuntDifference)
+        assert (comp.c(x), comp.alpha_r((0.5,))) == (1.5, 1.25)
+        assert (comp.c.lo, comp.c.hi) == (1.5, 1.5)
+        assert (comp.alpha_r.lo, comp.alpha_r.hi) == (0.9, 1.6)
+        missing(body, "alpha_r", r"\[component\.main\] missing.*alpha_r")
+        # without bounds: observed over radii 1e-4 .. 1e4
+        comp = load(body.replace("alpha_r_bounds = 0.9, 1.6\n", ""))
+        assert comp.alpha_r.lo == pytest.approx(1.00005)
+        assert comp.alpha_r.hi == 1.5
+
+        body = ("family = cone_restriction\nbase = base\n"
+                "predicate = first_positive\n")
+        comp = load(body)
+        assert isinstance(comp, ConeRestriction)
+        assert isinstance(comp.base, BigJumpPowerLaw)
+        assert (comp.base.c0(x), comp.base.beta1(x)) == (2.0, 3.0)
+        assert (comp.base.beta1.lo, comp.base.beta1.hi) == (3.0, 3.0)
+        assert isinstance(comp.predicate, FirstCoordinatePositive)
+        assert comp.symmetric is False
+        missing(body, "base", r"\[component\.main\] missing base")
+        missing(body, "predicate", r"\[component\.main\] unknown predicate")
+
+        body = ("family = stable_like_small\nc = 1.0\nalpha = 1.5\n"
+                "bass_normalized = true\n")
+        comp = load(body)
+        assert isinstance(comp, StableLikeSmall)
+        assert comp.bass_normalized is True
+        assert (comp.c(x), comp.alpha(x)) == (1.0, 1.5)
+        assert (comp.alpha.lo, comp.alpha.hi) == (1.5, 1.5)
+        assert load(body.replace("true", "false")).bass_normalized is False
+        missing(body, "alpha",
+                r"\[component\.main\] missing coefficient 'alpha'")
+
+    def test_envelope_section_is_rejected(self, tmp_path):
+        # a config cannot supply the z samples that check_envelopes needs,
+        # so an [envelope] would be parsed and never checked
+        text = GOOD + ("\n[component.upper]\nfamily = stable_like_small\n"
+                       "c = 0.01\nalpha = 1.2\n\n"
+                       "[envelope]\nnu2_components = upper\n")
+        with pytest.raises(ConfigError, match=r"\[envelope\]"):
+            load_config(write(tmp_path, text))
+
     def test_shipped_configs_parse(self):
         for f in sorted(CONFIGS.glob("*.cfg")):
             cfg = load_config(f)
@@ -144,6 +242,21 @@ class TestCliExitCodes:
         p = write(tmp_path, GOOD)
         assert main(["analyze", str(p), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("section, line", [
+        ("martingale", "t = abc"),
+        ("moment_identity", "rtol = abc"),
+        ("lil", "direction = abc"),
+    ])
+    def test_non_numeric_analysis_parameter(self, tmp_path, capsys,
+                                            section, line):
+        text = GOOD.replace("[analysis.martingale]\nt = 1.0\n",
+                            f"[analysis.{section}]\n{line}\n")
+        p = write(tmp_path, text)
+        assert main(["analyze", str(p), "--out", str(tmp_path / "o")]) == 2
+        key = line.split(" = ")[0]
+        assert (f"config error: [analysis.{section}] {key} = 'abc' is not "
+                "numeric") in capsys.readouterr().err
+
 
 class TestOutputLayout:
     def test_directories_and_manifest(self, tmp_path):
@@ -165,6 +278,23 @@ class TestOutputLayout:
         assert main(["simulate", str(p), "--out", str(out)]) == 0
         paths = list((out / config_hash(GOOD) / "paths").glob("*.csv"))
         assert len(paths) == 50
+
+    def test_analyze_writes_the_paths_simulate_writes(self, tmp_path):
+        p = write(tmp_path, GOOD)
+        sim_out, an_out = tmp_path / "s", tmp_path / "a"
+        assert main(["simulate", str(p), "--out", str(sim_out)]) == 0
+        assert main(["analyze", str(p), "--out", str(an_out)]) == 0
+        simulated = sim_out / config_hash(GOOD) / "paths"
+        run = an_out / config_hash(GOOD)
+        names = sorted(f.name for f in simulated.glob("*.csv"))
+        assert len(names) == 50
+        assert sorted(f.name for f in (run / "paths").glob("*.csv")) == names
+        for name in names:
+            assert (run / "paths" / name).read_bytes() == \
+                (simulated / name).read_bytes()
+        manifest = json.loads((run / "manifest.json").read_text())
+        listed = {f["path"] for f in manifest["files"]}
+        assert {f"paths/{name}" for name in names} <= listed
 
     def test_rerun_is_byte_identical(self, tmp_path):
         p = write(tmp_path, GOOD)

@@ -13,6 +13,7 @@ from jumplab.kernels import (
     BigJumpPowerLaw,
     CompoundPoissonAtoms,
     ConeRestriction,
+    HuntDifference,
     KernelSpec,
     StableLikeSmall,
 )
@@ -278,6 +279,21 @@ class TestDistribution:
                                 1500)
         counts = np.array([p.n_jumps for p in ens.paths])
         assert counts.mean() == pytest.approx(expect, rel=0.05)
+
+    def test_hunt_radial_alpha_is_state_independent(self):
+        # alpha_r depends on r = |z| only, so with a constant c neither the
+        # rate nor the radial law depends on the state
+        k = KernelSpec(1, (HuntDifference(
+            coeffs.constant(1.0),
+            coeffs.from_source("1 + 2*clamp(r, 0, 1)", 1.0, 3.0),
+        ),))
+        sim = ThinningSimulator(k, cfg(epsilon=0.1, base_seed=5))
+        assert sim.state_independent
+        rate = k.total_mass_tail((0.0,), 0.1).value
+        n = 300
+        counts = np.array([p.n_jumps for p in sim.ensemble((0.0,), n).paths])
+        assert counts.mean() == pytest.approx(
+            rate, abs=4 * math.sqrt(rate / n))
 
     def test_stable_like_jump_radius_law(self):
         # radial CDF on [eps, 1): F(r) = (eps^-a - r^-a) / (eps^-a - 1)
