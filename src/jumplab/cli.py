@@ -267,7 +267,9 @@ def _stages(cfg, args, dirs, files):
     sim_cfg = cfg.sim
     if args.seed_override is not None:
         sim_cfg = dataclasses.replace(sim_cfg, base_seed=args.seed_override)
-    sim = ThinningSimulator(cfg.kernel, sim_cfg, rate_grid=cfg.grid.points)
+    # the paths start at x0, so the dominating rate must cover it
+    sim = ThinningSimulator(cfg.kernel, sim_cfg,
+                            rate_grid=cfg.grid.points + (cfg.x0,))
     ens = sim.ensemble(cfg.x0, cfg.n_paths, jobs=args.jobs)
     if cfg.write_paths:
         width = len(str(cfg.n_paths - 1))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .simulator import states_at
+from .simulator import _visited_states, states_at
 
 __all__ = [
     "TestFunction",
@@ -97,22 +97,6 @@ TEST_FUNCTIONS = {
 # --- pathwise helpers --------------------------------------------------------
 
 
-def _visited_states(path, t):
-    """States and holding times on [0, t], exact piecewise-constant."""
-    times = path.jump_times
-    k = int(np.searchsorted(times, t, side="right"))
-    cut = np.concatenate([[0.0], times[:k], [t]])
-    holds = np.diff(cut)
-    if k == 0:
-        states = path.x0[None, :]
-    else:
-        states = np.vstack([
-            path.x0,
-            path.x0 + np.cumsum(path.jump_vectors[:k], axis=0),
-        ])
-    return states, holds
-
-
 def predictable_integral(path, fn, t, constant_value=None):
     """``int_0^t f(X_s) ds`` for scalar ``f``, exact for pure-jump paths.
 
@@ -120,34 +104,42 @@ def predictable_integral(path, fn, t, constant_value=None):
     """
     if constant_value is not None:
         return constant_value * t
-    states, holds = _visited_states(path, t)
+    states, holds = _visited_states(path.x0, path.jump_times,
+                                    path.jump_vectors, t)
     vals = np.array([fn(s) for s in states])
     return float(np.dot(holds, vals))
 
 
-def _quadratic_form(kernel, direction):
-    """``x -> r' a(x) r`` with the isotropic shortcut, plus its constant
-    value when the kernel is state-independent (else None)."""
-    direction = np.asarray(direction, dtype=float)
+def _integrated_a(paths, kernel, times):
+    """``int_0^t a(X_s) ds`` for every path at each of the increasing
+    ``times``, an ``(n_paths, len(times), d, d)`` array, with ``a`` from
+    ``kernel.diffusion_matrix``.
 
-    if kernel.isotropic:
-        def form(x):
-            return kernel.second_moment(x).value / kernel.d \
-                * float(np.dot(direction, direction))
-    else:
-        def form(x):
-            a = kernel.diffusion_matrix(x).a
-            return float(direction @ a @ direction)
-
-    const = form(tuple([0.0] * kernel.d)) \
-        if kernel.is_state_independent() else None
-    return form, const
-
-
-def _diag_form(kernel, i):
-    e = np.zeros(kernel.d)
-    e[i] = 1.0
-    return _quadratic_form(kernel, e)
+    A state-independent kernel evaluates ``a`` once in all; otherwise
+    ``a`` is evaluated once per state visited up to the last time, and
+    each entry is integrated by one ``np.dot`` of the holding times with
+    its contiguous values, the sum :func:`predictable_integral` takes.
+    """
+    d = kernel.d
+    times = np.asarray(times, dtype=float)
+    out = np.empty((len(paths), len(times), d, d))
+    if kernel.is_state_independent():
+        a = kernel.diffusion_matrix(tuple([0.0] * d)).a
+        out[:] = times[:, None, None] * a
+        return out
+    for k, p in enumerate(paths):
+        states, _ = _visited_states(p.x0, p.jump_times, p.jump_vectors,
+                                    times[-1])
+        # one contiguous row of values per entry (i, j)
+        rows = np.array([kernel.diffusion_matrix(s).a for s in states]) \
+            .reshape(len(states), d * d).T.copy()
+        for m, t in enumerate(times):
+            _, holds = _visited_states(p.x0, p.jump_times,
+                                       p.jump_vectors, t)
+            out[k, m] = np.array([
+                np.dot(holds, row[:len(holds)]) for row in rows
+            ]).reshape(d, d)
+    return out
 
 
 # --- reports -----------------------------------------------------------------
@@ -267,17 +259,12 @@ def martingale_series(ensemble, times):
 def second_moment_identity(ensemble, kernel, t):
     """Sample second moment against the predictable integral."""
     paths = ensemble.paths
-    d = kernel.d
     deltas = np.array([states_at(p, [t])[0] - p.x0 for p in paths])
     lhs_samples = deltas**2
     lhs, lhs_se = _mean_se(lhs_samples)
-    rhs = np.zeros(d)
-    for i in range(d):
-        form, const = _diag_form(kernel, i)
-        vals = np.array([
-            predictable_integral(p, form, t, const) for p in paths
-        ])
-        rhs[i] = vals.mean()
+    A = _integrated_a(paths, kernel, [t])[:, 0]
+    # contiguous rows: a strided mean would sum in another order
+    rhs = np.diagonal(A, axis1=1, axis2=2).T.copy().mean(axis=1)
     denom = np.where(np.abs(rhs) > 0, np.abs(rhs), 1.0)
     rel = (lhs - rhs) / denom
     return MomentIdentityReport(t, len(paths), lhs, lhs_se, rhs, rel)
@@ -289,35 +276,12 @@ def qv_comparison(ensemble, kernel, t):
     d = kernel.d
     n = len(paths)
     realized = np.zeros((n, d, d))
-    predictable = np.zeros((n, d, d))
-    forms = {}
-    for i in range(d):
-        for j in range(i, d):
-            if i == j:
-                forms[(i, j)] = _diag_form(kernel, i)
-            else:
-                # polarization: a_ij = (q(ei+ej) - q(ei) - q(ej)) / 2
-                e = np.zeros(d)
-                e[i] = e[j] = 1.0
-                fij, cij = _quadratic_form(kernel, e)
-                fi, ci = _diag_form(kernel, i)
-                fj, cj = _diag_form(kernel, j)
-
-                def off(x, fij=fij, fi=fi, fj=fj):
-                    return 0.5 * (fij(x) - fi(x) - fj(x))
-
-                coff = 0.5 * (cij - ci - cj) if cij is not None else None
-                forms[(i, j)] = (off, coff)
+    predictable = _integrated_a(paths, kernel, [t])[:, 0]
     for k, p in enumerate(paths):
-        times = p.jump_times
-        cut = int(np.searchsorted(times, t, side="right"))
+        cut = int(np.searchsorted(p.jump_times, t, side="right"))
         zs = p.jump_vectors[:cut]
         if len(zs):
             realized[k] = zs.T @ zs
-        for (i, j), (fn, const) in forms.items():
-            v = predictable_integral(p, fn, t, const)
-            predictable[k, i, j] = v
-            predictable[k, j, i] = v
     diff = realized - predictable
     diff_flat = diff.reshape(n, -1)
     mean, se = _mean_se(diff_flat)
@@ -358,7 +322,8 @@ def generator_martingale_test(ensemble, kernel, u, t):
     for p in paths:
         if t < 0 or t > p.t_end:
             raise RangeError("times outside [0, t_end]")
-        states, holds = _visited_states(p, t)
+        states, holds = _visited_states(p.x0, p.jump_times,
+                                        p.jump_vectors, t)
         # Lu is cached by the state rounded to 12 decimals; a path's
         # states are rounded together in one call
         vals = []
@@ -385,9 +350,9 @@ def lil_statistics(ensemble, direction, checkpoints, lambda_hat, Lambda_hat,
     ``R_t = |X_t| / sqrt(2 t loglog t)`` at each checkpoint, with
     running maxima of their absolute values.  Checkpoints must exceed
     ``e^e`` so the iterated logarithm is positive.  ``kernel`` supplies
-    the state-dependent quadratic form; omitted, ``<X^r>_t`` falls back
-    to ``lambda_hat * t`` (exact for state-independent kernels with
-    ``lambda_hat = Lambda_hat``).
+    ``a(x)``, and ``<X^r>_t = r' (int_0^t a(X_s) ds) r``; omitted,
+    ``<X^r>_t`` falls back to ``lambda_hat * t`` (exact for
+    state-independent kernels with ``lambda_hat = Lambda_hat``).
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
     if np.any(checkpoints < EE):
@@ -400,19 +365,14 @@ def lil_statistics(ensemble, direction, checkpoints, lambda_hat, Lambda_hat,
     W = np.zeros((n, ncp))
     R = np.zeros((n, ncp))
     degenerate = True
-    form = const = None
-    if kernel is not None:
-        form, const = _quadratic_form(kernel, direction)
-    for k, p in enumerate(paths):
+    if kernel is None:
+        qvs = np.tile(lambda_hat * checkpoints, (n, 1))
+    else:
+        qvs = _integrated_a(paths, kernel, checkpoints) @ direction @ direction
+    for k, (p, qv) in enumerate(zip(paths, qvs)):
         xs = states_at(p, checkpoints)
         proj = xs @ direction
         norms = np.linalg.norm(xs, axis=1)
-        if kernel is not None:
-            qv = np.array([
-                predictable_integral(p, form, t, const) for t in checkpoints
-            ])
-        else:
-            qv = lambda_hat * checkpoints
         pos = qv > math.e
         if np.any(pos):
             degenerate = False

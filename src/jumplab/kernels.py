@@ -742,10 +742,6 @@ class KernelSpec:
     def odd_symmetric(self):
         return all(c.odd_symmetric for c in self.components)
 
-    @property
-    def isotropic(self):
-        return all(c.isotropic for c in self.components)
-
     def is_state_independent(self):
         return all(fn.is_constant()
                    for c in self.components for fn in c.coefficients)

@@ -120,6 +120,15 @@ def states_at(path, times):
     return path.x0[None, :] + cum[idx]
 
 
+def _visited_states(x0, jump_times, jump_vectors, t):
+    """States and holding times on [0, t], exact piecewise-constant."""
+    k = int(np.searchsorted(jump_times, t, side="right"))
+    holds = np.diff(np.concatenate([[0.0], jump_times[:k], [t]]))
+    if k == 0:
+        return x0[None, :], holds
+    return np.vstack([x0, x0 + np.cumsum(jump_vectors[:k], axis=0)]), holds
+
+
 _PATH_BITGEN = np.random.Philox()
 _PATH_GEN = np.random.Generator(_PATH_BITGEN)
 _PHILOX_ZERO = np.zeros(4, dtype=np.uint64)
@@ -325,7 +334,7 @@ class ThinningSimulator:
             if p > 1.0 + 1e-12:
                 raise EnvelopeViolation(
                     f"acceptance probability {p:.6f} > 1 at state "
-                    f"{tuple(x)}; dominating rate undersized"
+                    f"{tuple(x.tolist())}; dominating rate undersized"
                 )
             u = rng.random()
             if u >= p:
@@ -350,8 +359,7 @@ class ThinningSimulator:
             return self._dropped_fraction(x0)
         # time-weighted over the visited states
         t_end = self.config.t_end
-        holds = np.diff(np.concatenate([[0.0], times, [t_end]]))
-        states = np.vstack([x0, x0 + np.cumsum(jumps, axis=0)])
+        states, holds = _visited_states(x0, times, jumps, t_end)
         fracs = np.array([self._dropped_fraction(s) for s in states])
         return float(np.dot(holds, fracs) / t_end)
 

@@ -547,11 +547,13 @@ def run_all(kernel, grid, envelopes=None, z_samples=None,
     report.add(check_zero_drift(kernel, grid, epsilons))
     report.add(check_ellipticity(kernel, grid))
     for comp in kernel.components:
-        if isinstance(comp, (BigJumpPowerLaw, BigJumpStretchedExp)):
-            report.add(check_big_jump_conditions(comp, grid))
-        if isinstance(comp, HuntDifference):
-            report.add(check_hunt_conditions(comp, grid))
-        alpha = getattr(comp, "alpha", None)
+        # a cone is checked through the family of its base
+        family = comp.base if isinstance(comp, ConeRestriction) else comp
+        if isinstance(family, (BigJumpPowerLaw, BigJumpStretchedExp)):
+            report.add(check_big_jump_conditions(family, grid))
+        if isinstance(family, HuntDifference):
+            report.add(check_hunt_conditions(family, grid))
+        alpha = getattr(family, "alpha", None)
         if alpha is not None:
             report.add(check_index_regularity(alpha, grid))
         if isinstance(comp, ConeRestriction) and z_samples is not None:

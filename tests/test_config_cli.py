@@ -242,6 +242,17 @@ class TestCliExitCodes:
         p = write(tmp_path, GOOD)
         assert main(["analyze", str(p), "--out", str(tmp_path / "o")]) == 0
 
+    def test_simulate_covers_x0_off_the_grid(self, tmp_path, capsys):
+        # c peaks at x0 = 0, which the 2-point grid {-2, 2} misses: the
+        # dominating rate must be taken over x0 as well
+        text = GOOD.replace("c = 1.0\n", "c = 1 + 2/(1 + |x|^2)\n") \
+            .replace("alpha = 1 + 0.5/(1 + |x|^2)\nalpha_bounds = 1.0, 1.5",
+                     "alpha = 1.0") \
+            .replace("extent = 3\npoints = 11", "extent = 2\npoints = 2")
+        p = write(tmp_path, text)
+        assert main(["simulate", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.startswith("simulated 50 paths")
+
     @pytest.mark.parametrize("section, line", [
         ("martingale", "t = abc"),
         ("moment_identity", "rtol = abc"),

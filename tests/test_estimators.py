@@ -206,6 +206,70 @@ class TestQV:
         )
 
 
+def integrated_a_by_loop(kernel, path, t):
+    """``int_0^t a(X_s) ds`` summed state by state with
+    ``diffusion_matrix``."""
+    k = int(np.searchsorted(path.jump_times, t, side="right"))
+    starts = np.concatenate([[0.0], path.jump_times[:k]])
+    ends = np.concatenate([path.jump_times[:k], [t]])
+    x = path.x0.copy()
+    total = np.zeros((kernel.d, kernel.d))
+    for j, (s, e) in enumerate(zip(starts, ends)):
+        if j:
+            x = x + path.jump_vectors[j - 1]
+        total += (e - s) * kernel.diffusion_matrix(x).a
+    return total
+
+
+# state-dependent and not isotropic: a(x) has off-diagonal entries
+MIXED_2D = KernelSpec(2, (
+    StableLikeSmall(coeffs.inverse_quadratic_bump(1.0, 1.0),
+                    coeffs.constant(1.0)),
+    ATOMS_2D.components[0],
+))
+
+
+class TestIntegratedA:
+    def test_atoms_off_diagonal_exact(self):
+        # closed form: predictable side t * sum w z z^T, a_12 = 0.12
+        ens = simulate_ensemble(ATOMS_2D, (0.0, 0.0), cfg(t_end=0.5), 200)
+        rep = qv_comparison(ens, ATOMS_2D, 0.5)
+        a = sum(w * np.outer(z, z) for w, z in ATOMS_2D.components[0].atoms)
+        assert a[0, 1] == pytest.approx(0.12, rel=1e-12)
+        for i in range(2):
+            for j in range(2):
+                assert rep.predictable_mean[i, j] == pytest.approx(
+                    0.5 * a[i, j], rel=1e-14)
+
+    def test_state_dependent_matches_loop(self):
+        ens = simulate_ensemble(MIXED_2D, (0.3, -0.2),
+                                cfg(t_end=0.5, epsilon=0.2), 12)
+        assert sum(p.n_jumps for p in ens.paths) > 50
+        for t in (0.5, 0.3):
+            want = np.mean([integrated_a_by_loop(MIXED_2D, p, t)
+                            for p in ens.paths], axis=0)
+            assert abs(want[0, 1]) > 1e-3
+            qv = qv_comparison(ens, MIXED_2D, t)
+            np.testing.assert_allclose(qv.predictable_mean, want, rtol=1e-12)
+            moment = second_moment_identity(ens, MIXED_2D, t)
+            np.testing.assert_allclose(moment.rhs, np.diag(want),
+                                       rtol=1e-12)
+
+    def test_lil_matches_predictable_integral(self):
+        c = coeffs.inverse_quadratic_bump(1.0, 1.0)
+        k = KernelSpec(1, (StableLikeSmall(c, coeffs.constant(1.0)),))
+        ens = simulate_ensemble(k, (0.0,), cfg(t_end=64.0, epsilon=0.2), 4)
+        cps = [16.0, 40.0, 64.0]
+        rep = lil_statistics(ens, (-1.0,), cps, 1.0, 1.0, kernel=k)
+        assert not rep.degenerate
+        a11 = lambda x: float(k.diffusion_matrix(x).a[0, 0])
+        for p, w in zip(ens.paths, rep.directional):
+            qv = np.array([predictable_integral(p, a11, t) for t in cps])
+            proj = -states_at(p, cps)[:, 0]
+            want = proj / np.sqrt(2.0 * qv * np.log(np.log(qv)))
+            np.testing.assert_allclose(w, want, rtol=1e-12)
+
+
 class TestGeneratorMartingale:
     def setup_method(self):
         self.ens = simulate_ensemble(ATOMS, (0.0,), cfg(), 2000)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jumplab import coeffs
-from jumplab.errors import JumpCapExceeded, RangeError
+from jumplab.errors import EnvelopeViolation, JumpCapExceeded, RangeError
 from jumplab.kernels import (
     BigJumpPowerLaw,
     CompoundPoissonAtoms,
@@ -211,6 +211,18 @@ class TestCone:
         assert len(zs) > 0
         assert all(right_half_plane(z) for z in zs)
         assert np.all(np.linalg.norm(zs, axis=1) >= config.epsilon)
+
+
+class TestDominatingRate:
+    def test_undersized_grid_names_the_state(self):
+        # c peaks at the origin, which the rate grid {-2, 2} misses
+        k = KernelSpec(1, (StableLikeSmall(
+            coeffs.inverse_quadratic_bump(1.0, 2.0), coeffs.constant(1.0)),))
+        sim = ThinningSimulator(k, cfg(), rate_grid=[(-2.0,), (2.0,)])
+        with pytest.raises(EnvelopeViolation) as exc:
+            sim.path((0.0,), 0)
+        assert "acceptance probability 1.428571 > 1 at state (0.0,);" \
+            in str(exc.value)
 
 
 class TestPathAccess:

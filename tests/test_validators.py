@@ -255,6 +255,17 @@ class TestRunAll:
         assert {"second_moment", "zero_drift", "ellipticity",
                 "big_jump", "index_regularity"} <= names
 
+    @pytest.mark.parametrize("base,check", [
+        (BigJumpPowerLaw(coeffs.inverse_quadratic_bump(1.0, 0.5),
+                         coeffs.constant(3.0)), "big_jump"),
+        (StableLikeSmall(ONE, coeffs.inverse_quadratic_bump(1.0, 0.5)),
+         "index_regularity"),
+    ])
+    def test_cone_base_gets_its_family_checks(self, base, check):
+        cone = ConeRestriction(base, _PositiveHalf(), symmetric=False)
+        report = run_all(KernelSpec(1, (cone,)), small_grid(extent=2.0, n=5))
+        assert check in {c.name for c in report.checks}
+
     def test_report_text_lists_verdicts(self):
         k = KernelSpec(1, (stable(),))
         report = run_all(k, small_grid())
