@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__, estimators, svgplot, validators
 from .config import load_config
 from .errors import ConfigError, JumplabError
-from .estimators import EE, TEST_FUNCTIONS
 from .simulator import ThinningSimulator, _fmt, write_path_csv
 
 __all__ = ["main"]
@@ -79,7 +78,7 @@ def _write_csv(files, path, header, rows):
 
 
 def _an_martingale(cfg, ens, spec, dirs, files):
-    t = spec.number("t", cfg.sim.t_end)
+    t = spec.params["t"]
     # the report at t and the plot's 20 times share one pass over paths
     times = np.linspace(t / 20.0, t, 20)
     series = estimators.martingale_series(ens, [*times, t])
@@ -106,8 +105,8 @@ def _an_martingale(cfg, ens, spec, dirs, files):
 
 
 def _an_moment_identity(cfg, ens, spec, dirs, files):
-    t = spec.number("t", cfg.sim.t_end)
-    rtol = spec.number("rtol", 0.05)
+    t = spec.params["t"]
+    rtol = spec.params["rtol"]
     rep = estimators.second_moment_identity(ens, cfg.kernel, t)
     _write_csv(files, dirs["reports"] / "moment_identity.csv",
                "coordinate,sample_second_moment,se,"
@@ -123,7 +122,7 @@ def _an_moment_identity(cfg, ens, spec, dirs, files):
 
 
 def _an_qv(cfg, ens, spec, dirs, files):
-    t = spec.number("t", cfg.sim.t_end)
+    t = spec.params["t"]
     rep = estimators.qv_comparison(ens, cfg.kernel, t)
     d = cfg.kernel.d
     _write_csv(files, dirs["reports"] / "qv.csv",
@@ -149,11 +148,8 @@ def _an_qv(cfg, ens, spec, dirs, files):
 
 
 def _an_generator(cfg, ens, spec, dirs, files):
-    t = spec.number("t", cfg.sim.t_end)
-    fname = spec.params.get("function", "square_first").strip()
-    if fname not in TEST_FUNCTIONS:
-        raise ConfigError(f"[analysis.generator] unknown function {fname!r}; "
-                          f"choose from {sorted(TEST_FUNCTIONS)}")
+    t = spec.params["t"]
+    fname = spec.params["function"]
     rep = estimators.generator_martingale_test(ens, cfg.kernel, fname, t)
     _write_csv(files, dirs["reports"] / "generator.csv",
                "function,t,mean,se,z_score",
@@ -168,32 +164,27 @@ def _calibrated_band():
 
 def _an_lil(cfg, ens, spec, dirs, files):
     t_end = cfg.sim.t_end
-    t0 = spec.number("t_start", 16.0)
-    if t0 < EE:
-        raise ConfigError(f"[analysis.lil] t_start must be >= e^e ~ "
-                          f"{EE:.3f}")
+    t0 = spec.params["t_start"]
     checkpoints = []
     t = t0
     while t < t_end:
         checkpoints.append(t)
         t *= 2.0
     checkpoints.append(t_end)
-    direction = spec.numbers("direction", (1.0,))
-    if len(direction) != cfg.kernel.d:
-        raise ConfigError("[analysis.lil] direction has wrong dimension")
+    direction = spec.params["direction"]
     ell = validators.check_ellipticity(cfg.kernel, cfg.grid)
     lam = ell.evidence.get("lambda_hat", 0.0)
     Lam = ell.evidence.get("Lambda_hat", 0.0)
-    tail_lb = spec.number("tail_lower_bound", 0.0)
+    tail_lb = spec.params["tail_lower_bound"]
     rep = estimators.lil_statistics(
         ens, direction, checkpoints, lam, Lam, tail_lb, kernel=cfg.kernel,
     )
-    band = spec.numbers("band", None, 2)
+    band = spec.params["band"]
     if band is None:
         cal = _calibrated_band()
         band = cal["band_lo"], cal["band_hi"]
     band_lo, band_hi = band
-    coverage_req = spec.number("coverage", 0.9)
+    coverage_req = spec.params["coverage"]
     run = rep.running_max_directional
     covered = float(np.mean((run >= band_lo) & (run <= band_hi)))
     _write_csv(files, dirs["reports"] / "lil.csv",

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import coeffs, exprlang
 from .errors import ConfigError, ExprSyntaxError, UnknownIdentifier
+from .estimators import EE, TEST_FUNCTIONS
 from .kernels import (
     BigJumpPowerLaw,
     BigJumpStretchedExp,
@@ -53,7 +54,7 @@ class FirstCoordinatePositive:
     symmetric = False
 
     def __call__(self, z):
-        return z[0] > 0
+        return float(z[0]) > 0.0
 
 
 class FirstAxisCone:
@@ -62,8 +63,12 @@ class FirstAxisCone:
     symmetric = True
 
     def __call__(self, z):
-        z = np.atleast_1d(z)
-        return bool(np.abs(z[0]) >= np.max(np.abs(z)))
+        # plain Python: the cone moments call this at every radial node
+        first = abs(z[0])
+        for c in z:
+            if not first >= abs(c):
+                return False
+        return True
 
 
 PREDICATES = {
@@ -74,18 +79,12 @@ PREDICATES = {
 
 @dataclass
 class AnalysisSpec:
+    """An ``[analysis.<name>]`` section.  ``params`` holds every
+    parameter the analysis reads, parsed and checked when the config is
+    loaded, with defaults filled in."""
+
     name: str
     params: dict = field(default_factory=dict)
-
-    def numbers(self, key, default, n=None):
-        """The comma-separated numbers under ``key``, or ``default``."""
-        raw = self.params.get(key)
-        if raw is None:
-            return default
-        return _floats(raw, n, f"analysis.{self.name}", key)
-
-    def number(self, key, default):
-        return self.numbers(key, (default,), 1)[0]
 
 
 @dataclass
@@ -147,6 +146,49 @@ def _floats(raw, n, section, key):
         return tuple(float(p) for p in parts)
     except ValueError:
         _fail(section, f"{key} = {raw!r} is not numeric")
+
+
+def _analysis_params(name, raw, d, t_end):
+    """The parameters of analysis ``name`` from the text ``raw`` of its
+    section: a typo or an impossible value fails here, before anything
+    is validated, simulated or written."""
+    section = f"analysis.{name}"
+
+    def numbers(key, default, n=None):
+        text = raw.get(key)
+        return default if text is None else _floats(text, n, section, key)
+
+    def number(key, default):
+        return numbers(key, (default,), 1)[0]
+
+    if name == "lil":
+        t_start = number("t_start", 16.0)
+        if t_start < EE:
+            _fail(section, f"t_start must be >= e^e ~ {EE:.3f}")
+        direction = numbers("direction", (1.0,))
+        if len(direction) != d:
+            _fail(section, "direction has wrong dimension")
+        return {
+            "t_start": t_start,
+            "direction": direction,
+            "tail_lower_bound": number("tail_lower_bound", 0.0),
+            "band": numbers("band", None, 2),
+            "coverage": number("coverage", 0.9),
+        }
+    # the paths end at t_end: past it there is nothing to estimate
+    t = number("t", t_end)
+    if not 0.0 <= t <= t_end:
+        _fail(section, f"t = {t!r} lies outside [0, t_end = {t_end!r}]")
+    params = {"t": t}
+    if name == "moment_identity":
+        params["rtol"] = number("rtol", 0.05)
+    if name == "generator":
+        fname = raw.get("function", "square_first").strip()
+        if fname not in TEST_FUNCTIONS:
+            _fail(section, f"unknown function {fname!r}; "
+                           f"choose from {sorted(TEST_FUNCTIONS)}")
+        params["function"] = fname
+    return params
 
 
 def _component(parser, section, d, grid_points):
@@ -284,8 +326,9 @@ def load_config(path):
         if name not in ("martingale", "moment_identity", "qv", "generator",
                         "lil"):
             _fail(section, f"unknown analysis {name!r}")
-        params = dict(parser.items(section))
-        analyses.append(AnalysisSpec(name, params))
+        raw = dict(parser.items(section))
+        analyses.append(AnalysisSpec(
+            name, _analysis_params(name, raw, d, sim.t_end)))
 
     write_paths = parser.getboolean("output", "write_paths", fallback=True)
 

@@ -119,9 +119,13 @@ def _integrated_a(paths, kernel, times):
     ``a`` is evaluated once per state visited up to the last time, and
     each entry is integrated by one ``np.dot`` of the holding times with
     its contiguous values, the sum :func:`predictable_integral` takes.
+    Raises :class:`RangeError` if a time lies outside a path's
+    ``[0, t_end]``, where the realized side has no data.
     """
     d = kernel.d
     times = np.asarray(times, dtype=float)
+    if any(times[0] < 0 or times[-1] > p.t_end for p in paths):
+        raise RangeError("times outside [0, t_end]")
     out = np.empty((len(paths), len(times), d, d))
     if kernel.is_state_independent():
         a = kernel.diffusion_matrix(tuple([0.0] * d)).a
@@ -271,7 +275,10 @@ def second_moment_identity(ensemble, kernel, t):
 
 
 def qv_comparison(ensemble, kernel, t):
-    """Realized minus predictable quadratic variation, all (i, j)."""
+    """Realized minus predictable quadratic variation, all (i, j).
+
+    Raises :class:`RangeError` if ``t`` lies past a path's ``t_end``.
+    """
     paths = ensemble.paths
     d = kernel.d
     n = len(paths)

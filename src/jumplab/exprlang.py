@@ -12,12 +12,18 @@ radial coefficients), arithmetic ``+ - * / ^``, and the functions
 ``exp log sin cos sqrt abs min max clamp``.  There are no user-defined
 functions and no recursion, so evaluation always terminates.
 
-Parsed expressions are immutable and safe to share across workers.
+Parsing compiles each expression once, into nested closures that
+perform the float operations a walk of the tree would, in the same
+order; subtrees that do not depend on ``x`` are folded to their value.
+Parsed expressions are immutable and safe to share across workers: an
+:class:`Expr` pickles as its tree and source and is compiled again where
+it is loaded.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
@@ -81,6 +87,13 @@ class Expr:
 
     root: Node
     source: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_fn", _compile(self.root))
+
+    def __reduce__(self):
+        # closures do not pickle: a copy is rebuilt from the tree
+        return (Expr, (self.root, self.source))
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -301,36 +314,61 @@ def parse(source):
     return Expr(_Parser(source).parse(), source)
 
 
-# --- evaluation --------------------------------------------------------------
+# --- compilation -------------------------------------------------------------
+#
+# A subtree without x[i] or |x| is evaluated when compiled and replaced by
+# its value, unless evaluating it raises (say ``1/0``): such a subtree is
+# kept, so that it raises when evaluated, not when parsed.
 
 
-def _eval(node, x):
+def _compile(node):
+    fn = _closure(node)
+    if not isinstance(node, Const) and _is_const(node):
+        try:
+            value = fn(())
+        except (DomainError, ArithmeticError, ValueError):
+            return fn
+        return lambda x: value
+    return fn
+
+
+def _closure(node):
     if isinstance(node, Const):
-        return node.value
+        value = node.value
+        return lambda x: value
     if isinstance(node, Coord):
-        if node.index >= len(x):
-            raise IndexError(
-                f"coordinate x[{node.index}] out of range for d={len(x)}"
-            )
-        return float(x[node.index])
+        i = node.index
+
+        def coord(x):
+            if i >= len(x):
+                raise IndexError(
+                    f"coordinate x[{i}] out of range for d={len(x)}"
+                )
+            return float(x[i])
+
+        return coord
     if isinstance(node, Norm):
-        return math.sqrt(sum(float(c) * float(c) for c in x))
+        return lambda x: math.sqrt(sum([c * c for c in map(float, x)]))
     if isinstance(node, Neg):
-        return -_eval(node.operand, x)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, x)
-        b = _eval(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
+        f = _compile(node.operand)
+        return lambda x: -f(x)
+    if isinstance(node, BinOp) and node.op == "/":
+        f, g = _compile(node.left), _compile(node.right)
+
+        def divide(x):
+            a = f(x)
+            b = g(x)
             if b == 0.0:
                 raise DomainError(f"division by zero in {pretty_node(node)}")
             return a / b
-        if node.op == "^":
+
+        return divide
+    if isinstance(node, BinOp) and node.op == "^":
+        f, g = _compile(node.left), _compile(node.right)
+
+        def power(x):
+            a = f(x)
+            b = g(x)
             try:
                 v = a**b
             except (OverflowError, ValueError, ZeroDivisionError) as exc:
@@ -338,42 +376,52 @@ def _eval(node, x):
             if isinstance(v, complex):
                 raise DomainError(f"non-real power {a}^{b}")
             return v
-        raise AssertionError(node.op)
-    if isinstance(node, Call):
-        args = [_eval(a, x) for a in node.args]
-        name = node.name
-        if name == "exp":
-            return math.exp(args[0])
-        if name == "log":
-            if args[0] <= 0.0:
-                raise DomainError(f"log of non-positive value {args[0]}")
-            return math.log(args[0])
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-        if name == "sqrt":
-            if args[0] < 0.0:
-                raise DomainError(f"sqrt of negative value {args[0]}")
-            return math.sqrt(args[0])
-        if name == "abs":
-            return abs(args[0])
-        if name == "min":
-            return min(args)
-        if name == "max":
-            return max(args)
-        if name == "clamp":
-            v, lo, hi = args
-            return min(max(v, lo), hi)
-        raise AssertionError(name)
-    raise AssertionError(type(node))
+
+        return power
+    if isinstance(node, BinOp):
+        op, args = _OPERATIONS[node.op], (node.left, node.right)
+    else:
+        op, args = _OPERATIONS[node.name], node.args
+    # the arguments are evaluated left to right, then the operation
+    fs = [_compile(a) for a in args]
+    if len(fs) == 1:
+        (f,) = fs
+        return lambda x: op(f(x))
+    if len(fs) == 2:
+        f, g = fs
+        return lambda x: op(f(x), g(x))
+    f, g, h = fs
+    return lambda x: op(f(x), g(x), h(x))
+
+
+def _log(v):
+    if v <= 0.0:
+        raise DomainError(f"log of non-positive value {v}")
+    return math.log(v)
+
+
+def _sqrt(v):
+    if v < 0.0:
+        raise DomainError(f"sqrt of negative value {v}")
+    return math.sqrt(v)
+
+
+def _clamp(v, lo, hi):
+    return min(max(v, lo), hi)
+
+
+_OPERATIONS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "exp": math.exp, "log": _log, "sin": math.sin, "cos": math.cos,
+    "sqrt": _sqrt, "abs": abs, "min": min, "max": max, "clamp": _clamp,
+}
 
 
 def evaluate(expr, x):
     """Evaluate ``expr`` at state point ``x`` (a sequence of floats)."""
     if not hasattr(x, "__len__"):
         x = (x,)
-    return _eval(expr.root, x)
+    return expr._fn(x)
 
 
 # --- pretty printing ---------------------------------------------------------

@@ -50,9 +50,15 @@ __all__ = [
 _CONE_REJECT_CAP = 100_000
 
 
+# the moments ask for it at every proposal, so it is computed once per d
+_SURFACE_AREA = {d: 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+                 for d in (1, 2, 3)}
+
+
 def surface_area(d):
-    """Surface measure of the unit sphere in R^d (2, 2*pi, 4*pi)."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    """Surface measure of the unit sphere in R^d (2, 2*pi, 4*pi), for
+    d = 1, 2, 3."""
+    return _SURFACE_AREA[d]
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,9 @@ def _uniform_direction(rng, d, n=None):
 #                                   are its base's)
 #   odd_symmetric / isotropic / atomic flags
 #   density(x, z, d)             -- atoms raise
+#   radial_profile(x, d)         -- isotropic families only: the density
+#                                   as a function r -> rho(r) of |z|, with
+#                                   the coefficients at x evaluated once
 #   second_moment(x, d), tail_mass(x, eps, d), dropped_variance(x, eps, d)
 #                                -- QuadratureResults
 #   drift_tail(x, eps, d)        -- (int_{|z|>=eps} z N(x, dz), error bound)
@@ -143,7 +152,7 @@ class _DensityComponent:
 
 class _Isotropic(_DensityComponent):
     """What the isotropic families share.  Each family supplies
-    ``support``, ``radial_density``, its moments, and the inverse CDF
+    ``support``, ``radial_profile``, its moments, and the inverse CDF
     ``tail_radius(u, x, eps)`` of its tail radius or a sampler of its
     own."""
 
@@ -151,7 +160,7 @@ class _Isotropic(_DensityComponent):
     isotropic = True
 
     def density(self, x, z, d):
-        return self.radial_density(x, float(np.linalg.norm(z)), d)
+        return self.radial_profile(x, d)(float(np.linalg.norm(z)))
 
     def drift_tail(self, x, eps, d):
         # isotropic densities integrate to zero by symmetry
@@ -217,11 +226,10 @@ class StableLikeSmall(_Isotropic):
     def support(self, d):
         return (0.0, 1.0)
 
-    def radial_density(self, x, r, d):
-        if not 0.0 < r < 1.0:
-            return 0.0
+    def radial_profile(self, x, d):
         cv, a = self._coeff(x, d)
-        return cv * r ** (-d - a)
+        p = -d - a
+        return lambda r: cv * r**p if 0.0 < r < 1.0 else 0.0
 
     def second_moment(self, x, d):
         cv, a = self._coeff(x, d)
@@ -268,11 +276,10 @@ class BigJumpPowerLaw(_Isotropic):
     def support(self, d):
         return (1.0, math.inf)
 
-    def radial_density(self, x, r, d):
-        if r < 1.0:
-            return 0.0
+    def radial_profile(self, x, d):
         cv, b = self._coeff(x)
-        return cv * r ** (-d - b)
+        p = -d - b
+        return lambda r: 0.0 if r < 1.0 else cv * r**p
 
     def second_moment(self, x, d):
         cv, b = self._coeff(x)
@@ -319,11 +326,10 @@ class BigJumpStretchedExp(_Isotropic):
     def support(self, d):
         return (1.0, math.inf)
 
-    def radial_density(self, x, r, d):
-        if r < 1.0:
-            return 0.0
+    def radial_profile(self, x, d):
         cv, b = self._coeff(x)
-        return cv * math.exp(-self.lam * r**b)
+        neg_lam = -self.lam
+        return lambda r: 0.0 if r < 1.0 else cv * math.exp(neg_lam * r**b)
 
     def _radial_moment(self, x, power, lo, d):
         cv, b = self._coeff(x)
@@ -539,12 +545,13 @@ class ConeRestriction(_DensityComponent):
         error = 0.0
         evals = 0
         sing = -1.0 + 1e-6 if r_lo == 0.0 else 0.0
+        rho = self.base.radial_profile(x, d)
+        predicate = self.predicate
+        p = d - 1 + power
         for theta, w in zip(pts, wts):
             res = integrate_radial(
                 lambda r, th=theta: (
-                    self.base.radial_density(x, r, d)
-                    * r ** (d - 1 + power)
-                    * (1.0 if self.predicate(r * th) else 0.0)
+                    rho(r) * r**p * (1.0 if predicate(r * th) else 0.0)
                 ),
                 lo, r_hi, sing, DEFAULT_RTOL,
                 max(2000, DEFAULT_MAX_EVALS // len(wts)),
@@ -637,10 +644,10 @@ class HuntDifference(_Isotropic):
     def support(self, d):
         return (0.0, math.inf)
 
-    def radial_density(self, x, r, d):
-        if r <= 0.0:
-            return 0.0
-        return self.c(x) * r ** (-d - self.alpha_r((r,)))
+    def radial_profile(self, x, d):
+        cv = self.c(x)
+        alpha_r = self.alpha_r
+        return lambda r: 0.0 if r <= 0.0 else cv * r ** (-d - alpha_r((r,)))
 
     def _radial_moment(self, x, power, lo, d, hi=math.inf):
         cv = self.c(x)

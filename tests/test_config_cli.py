@@ -268,6 +268,36 @@ class TestCliExitCodes:
         assert (f"config error: [analysis.{section}] {key} = 'abc' is not "
                 "numeric") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("martingale", "t = abc", "t = 'abc' is not numeric"),
+        ("generator", "function = cube", "unknown function 'cube'"),
+        ("lil", "t_start = 3", "t_start must be >= e^e"),
+        ("lil", "direction = 1, 0", "direction has wrong dimension"),
+    ])
+    def test_analysis_parameters_checked_first(self, tmp_path, capsys,
+                                               section, line, message):
+        # a typo costs no validation or simulation, and leaves no files
+        text = GOOD.replace("[analysis.martingale]\nt = 1.0\n",
+                            f"[analysis.{section}]\n{line}\n")
+        p = write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["analyze", str(p), "--out", str(out)]) == 2
+        assert (f"config error: [analysis.{section}] {message}"
+                in capsys.readouterr().err)
+        assert not (out / config_hash(text) / "reports"
+                    / "validation.txt").exists()
+        assert not list(out.rglob("path_*.csv"))
+
+    @pytest.mark.parametrize("section", ["martingale", "moment_identity",
+                                         "qv"])
+    def test_analysis_time_past_t_end(self, tmp_path, capsys, section):
+        text = GOOD.replace("[analysis.martingale]\nt = 1.0\n",
+                            f"[analysis.{section}]\nt = 2.0\n")
+        p = write(tmp_path, text)
+        assert main(["analyze", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: [analysis.{section}] t = 2.0 lies outside "
+                "[0, t_end = 1.0]") in capsys.readouterr().err
+
 
 class TestOutputLayout:
     def test_directories_and_manifest(self, tmp_path):

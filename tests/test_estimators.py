@@ -205,6 +205,16 @@ class TestQV:
             4.0 * r1.predictable_mean[0, 0], rel=1e-12
         )
 
+    @pytest.mark.parametrize("kernel", [ATOMS, KernelSpec(1, (StableLikeSmall(
+        coeffs.inverse_quadratic_bump(1.0, 1.0), coeffs.constant(1.0)),))],
+        ids=["state_independent", "state_dependent"])
+    def test_time_beyond_horizon_raises(self, kernel):
+        # past t_end the realized side stops while the predictable side
+        # would go on: a verdict there compares different horizons
+        ens = simulate_ensemble(kernel, (0.0,), cfg(), 5)
+        with pytest.raises(RangeError):
+            qv_comparison(ens, kernel, 2.0)
+
 
 def integrated_a_by_loop(kernel, path, t):
     """``int_0^t a(X_s) ds`` summed state by state with

@@ -1,14 +1,22 @@
 """Expression language: parsing, evaluation, round trips, range checks."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumplab import exprlang
+from jumplab import coeffs, exprlang
+from jumplab.config import FirstAxisCone
 from jumplab.errors import DomainError, ExprSyntaxError, UnknownIdentifier
+from jumplab.kernels import (
+    BigJumpPowerLaw,
+    ConeRestriction,
+    KernelSpec,
+    StableLikeSmall,
+)
 
 
 def ev(src, x=(0.0,)):
@@ -166,3 +174,94 @@ class TestCheckRange:
         assert not rep.passed
         assert rep.observed_max == 3.0
         assert rep.argmax == (3.0,)
+
+
+def _norm(x):
+    return math.sqrt(sum(c * c for c in x))
+
+
+# every node type, all nine functions, x[i], |x| and r, each against the
+# same float operations written out by hand; the constant subtrees
+# (2*pi - e/3, (1 + 2)^0.5) are folded when parsed
+_CORPUS = [
+    ("1 + 2*x[1] - x[2]/3", lambda x: 1.0 + 2.0 * x[0] - x[1] / 3.0),
+    ("-x[1]^2 + 2^x[2]", lambda x: -x[0] ** 2.0 + 2.0 ** x[1]),
+    ("|x| * r - x[1]", lambda x: _norm(x) * _norm(x) - x[0]),
+    ("1 + 0.5/(1 + |x|^2)", lambda x: 1.0 + 0.5 / (1.0 + _norm(x) ** 2.0)),
+    ("exp(-x[1]) + log(1 + |x|)",
+     lambda x: math.exp(-x[0]) + math.log(1.0 + _norm(x))),
+    ("sin(x[1]) * cos(x[2])", lambda x: math.sin(x[0]) * math.cos(x[1])),
+    ("sqrt(1 + x[1]^2) + abs(x[2])",
+     lambda x: math.sqrt(1.0 + x[0] ** 2.0) + abs(x[1])),
+    ("min(x[1], x[2]) - max(x[1], 0.5)",
+     lambda x: min(x[0], x[1]) - max(x[0], 0.5)),
+    ("clamp(x[1] + x[2], -0.5, 0.5)",
+     lambda x: min(max(x[0] + x[1], -0.5), 0.5)),
+    ("x[1] * (2*pi - e/3) + (1 + 2)^0.5",
+     lambda x: x[0] * (2.0 * math.pi - math.e / 3.0) + (1.0 + 2.0) ** 0.5),
+    ("0.843 + 0.179*x[1]^2/(1 + |x|^2)",
+     lambda x: 0.843 + 0.179 * x[0] ** 2.0 / (1.0 + _norm(x) ** 2.0)),
+]
+_STATES = [(0.0, 0.0), (0.3, -1.7), (2.0, 0.25), (-0.9, 1e-3),
+           (-2.0, -2.0), (1.0 / 3.0, math.pi)]
+
+
+class TestCompiler:
+    @pytest.mark.parametrize("src, hand", _CORPUS,
+                             ids=[src for src, _ in _CORPUS])
+    def test_equals_hand_written(self, src, hand):
+        expr = exprlang.parse(src)
+        for x in _STATES:
+            want = hand(x)
+            assert exprlang.evaluate(expr, x) == want
+            assert exprlang.evaluate(expr, np.array(x)) == want
+            assert expr(x) == want
+
+    @pytest.mark.parametrize("src, x, error, message", [
+        ("1/0", (0.0,), DomainError, "division by zero in (1.0 / 0.0)"),
+        ("1/(x[1] - 1)", (1.0,), DomainError,
+         "division by zero in (1.0 / (x[1] - 1.0))"),
+        ("log(x[1])", (0.0,), DomainError, "log of non-positive value 0.0"),
+        ("sqrt(x[1])", (-4.0,), DomainError, "sqrt of negative value -4.0"),
+        ("x[1]^0.5", (-1.0,), DomainError, "non-real power -1.0^0.5"),
+        ("0^(-1)", (0.0,), DomainError, "invalid power 0.0^-1.0"),
+        ("10^400", (0.0,), DomainError, "invalid power 10.0^400.0"),
+        ("exp(1000)", (0.0,), OverflowError, "math range error"),
+        ("x[3] + 1/0", (1.0, 2.0), IndexError,
+         "coordinate x[2] out of range for d=2"),
+    ])
+    def test_errors_raise_when_evaluated(self, src, x, error, message):
+        # a constant subtree that raises is not folded: parsing succeeds
+        expr = exprlang.parse(src)
+        with pytest.raises(error) as err:
+            exprlang.evaluate(expr, x)
+        assert str(err.value) == message
+
+    def test_folded_constant(self):
+        expr = exprlang.parse("2*pi + exp(1)")
+        assert expr.is_constant()
+        assert exprlang.evaluate(expr, ()) == 2.0 * math.pi + math.exp(1.0)
+
+    def test_pickle_round_trip(self):
+        expr = exprlang.parse(_CORPUS[9][0])
+        copy = pickle.loads(pickle.dumps(expr))
+        assert copy == expr
+        fn = coeffs.from_source(_CORPUS[3][0], 1.0, 1.5)
+        fn_copy = pickle.loads(pickle.dumps(fn))
+        assert fn_copy == fn
+        for x in _STATES:
+            assert copy(x) == expr(x)
+            assert fn_copy(x) == fn(x)
+        kernel = KernelSpec(2, (
+            StableLikeSmall(fn, coeffs.from_source("1 + 0.5/(1 + |x|^2)",
+                                                   1.0, 1.5)),
+            ConeRestriction(
+                BigJumpPowerLaw(coeffs.from_source(_CORPUS[10][0],
+                                                   0.843, 1.022),
+                                coeffs.constant(3.0)),
+                FirstAxisCone(), symmetric=True),
+        ))
+        kernel_copy = pickle.loads(pickle.dumps(kernel))
+        for x in [(0.0, 0.0), (2.0, -2.0)]:
+            assert kernel_copy.total_mass_tail(x, 0.1) == \
+                kernel.total_mass_tail(x, 0.1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumplab import coeffs
+from jumplab.config import FirstAxisCone, FirstCoordinatePositive
 from jumplab.errors import AtomicKernelError, DivergentIntegral, DomainError
 from jumplab.kernels import (
     BigJumpPowerLaw,
@@ -299,3 +300,106 @@ class TestEnvelopePair:
         pair = EnvelopePair(KernelSpec(1, (stable(0.5),)),
                             KernelSpec(1, (stable(2.0),)))
         assert pair.nu2 is not None
+
+
+class TestSurfaceAreaTable:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_equal_to_formula(self, d):
+        assert surface_area(d) == \
+            2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def first_axis_numpy(z):
+    z = np.atleast_1d(z)
+    return bool(np.abs(z[0]) >= np.max(np.abs(z)))
+
+
+def first_positive_numpy(z):
+    return bool(z[0] > 0)
+
+
+class TestShippedPredicates:
+    _EDGES = [(0.0,), (-0.0,), (2.0,), (-2.0,), (1.0, -1.0), (-1.0, 1.0),
+              (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-1.0, 1.0, 1.0),
+              (1.0, 1.0, -1.0), (0.5, 0.5000000000000001), (-0.0, 1e-300)]
+
+    def _cases(self):
+        rng = np.random.default_rng(7)
+        zs = [np.array(z) for z in self._EDGES]
+        for d in (1, 2, 3):
+            zs += list(rng.standard_normal((200, d)))
+        return zs
+
+    def test_first_axis_matches_numpy(self):
+        pred = FirstAxisCone()
+        for z in self._cases():
+            assert pred(z) is first_axis_numpy(z)
+            assert pred(tuple(z)) is first_axis_numpy(z)
+
+    def test_first_positive_matches_numpy(self):
+        pred = FirstCoordinatePositive()
+        for z in self._cases():
+            assert pred(z) is first_positive_numpy(z)
+            assert pred(tuple(z)) is first_positive_numpy(z)
+
+
+def _hex(v):
+    return [float(c).hex() for c in np.ravel(v)]
+
+
+# The cone of the 2-d benchmark kernel (seed 1): 0.843 + 0.179 x1^2/(1 +
+# |x|^2) over |z|^{-5} on |z| >= 1, in the first-axis cone.  Recorded
+# with the per-node evaluation of the coefficients; binding them once per
+# state must reproduce every bit, error bound and evaluation count.
+PINNED_CONE = {
+    (0.0, 0.0): {
+        "second_moment": ("0x1.52fd8b96150ccp+1", "0x1.52fd90e44a4efp-4",
+                          14880),
+        "tail_mass": ("0x1.c3fcba4ee10b7p-1", "0x1.c3fcbdcb55d5bp-6", 6720),
+        "drift_tail": (["-0x1.c000000000000p-54", "0x1.a800000000000p-56"],
+                       "0x1.acc64700a6f80p-30"),
+        "diffusion": (["0x1.15929ebfac78cp+1", "-0x1.2500000000000p-52",
+                       "-0x1.2500000000000p-52", "0x1.eb5766b344a1fp-2"],
+                      "0x1.52fd90e44a4f3p-4"),
+    },
+    (2.0, -2.0): {
+        "second_moment": ("0x1.72fb4a0170e43p+1", "0x1.72fb4fcff06c5p-4",
+                          14880),
+        "tail_mass": ("0x1.eea462e2b0806p-1", "0x1.eea466d502188p-6", 6720),
+        "drift_tail": (["0x1.c000000000000p-55", "-0x1.2800000000000p-56"],
+                       "0x1.d9c54915cde71p-30"),
+        "diffusion": (["0x1.2fc48f909b4f5p+1", "-0x1.0400000000000p-52",
+                       "-0x1.0400000000000p-52", "0x1.0cdae9c356542p-1"],
+                      "0x1.72fb4fcff06c8p-4"),
+    },
+    (-0.75, 1.5): {
+        "second_moment": ("0x1.5d9c458da7ffdp+1", "0x1.5d9c4b0673660p-4",
+                          14880),
+        "tail_mass": ("0x1.d225b24531741p-1", "0x1.d225b5e84acfbp-6", 6720),
+        "drift_tail": (["0x1.0000000000000p-56", "-0x1.0000000000000p-61"],
+                       "0x1.bba588372e89ep-30"),
+        "diffusion": (["0x1.1e44c5c614f02p+1", "-0x1.d600000000000p-53",
+                       "-0x1.d600000000000p-53", "0x1.fabbfe3c987a3p-2"],
+                      "0x1.5d9c4b0673659p-4"),
+    },
+}
+
+
+class TestPinnedConeMoments:
+    cone = ConeRestriction(
+        BigJumpPowerLaw(
+            coeffs.from_source("0.843 + 0.179*x[1]^2/(1 + |x|^2)",
+                               0.843, 1.022),
+            coeffs.constant(3.0)),
+        FirstAxisCone(), symmetric=True)
+
+    @pytest.mark.parametrize("x", list(PINNED_CONE))
+    def test_bit_for_bit(self, x):
+        want = PINNED_CONE[x]
+        for name, res in (("second_moment", self.cone.second_moment(x, 2)),
+                          ("tail_mass", self.cone.tail_mass(x, 0.1, 2))):
+            assert (res.value.hex(), res.error_bound.hex(),
+                    res.evaluations) == want[name]
+        for name, (v, err) in (("drift_tail", self.cone.drift_tail(x, 0.1, 2)),
+                               ("diffusion", self.cone.diffusion(x, 2))):
+            assert (_hex(v), float(err).hex()) == want[name]
