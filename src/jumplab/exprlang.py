@@ -14,7 +14,7 @@ functions and no recursion, so evaluation always terminates.
 
 Parsing compiles each expression once, into nested closures that
 perform the float operations a walk of the tree would, in the same
-order; subtrees that do not depend on ``x`` are folded to their value.
+order.
 Parsed expressions are immutable and safe to share across workers: an
 :class:`Expr` pickles as its tree and source and is compiled again where
 it is loaded.
@@ -315,24 +315,9 @@ def parse(source):
 
 
 # --- compilation -------------------------------------------------------------
-#
-# A subtree without x[i] or |x| is evaluated when compiled and replaced by
-# its value, unless evaluating it raises (say ``1/0``): such a subtree is
-# kept, so that it raises when evaluated, not when parsed.
 
 
 def _compile(node):
-    fn = _closure(node)
-    if not isinstance(node, Const) and _is_const(node):
-        try:
-            value = fn(())
-        except (DomainError, ArithmeticError, ValueError):
-            return fn
-        return lambda x: value
-    return fn
-
-
-def _closure(node):
     if isinstance(node, Const):
         value = node.value
         return lambda x: value

@@ -11,6 +11,7 @@ x spherical product quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,14 +52,10 @@ _CONE_REJECT_CAP = 100_000
 
 
 # the moments ask for it at every proposal, so it is computed once per d
-_SURFACE_AREA = {d: 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-                 for d in (1, 2, 3)}
-
-
+@functools.cache
 def surface_area(d):
-    """Surface measure of the unit sphere in R^d (2, 2*pi, 4*pi), for
-    d = 1, 2, 3."""
-    return _SURFACE_AREA[d]
+    """Surface measure of the unit sphere in R^d (2, 2*pi, 4*pi)."""
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,12 @@ class _Isotropic(_DensityComponent):
     isotropic = True
 
     def density(self, x, z, d):
-        return self.radial_profile(x, d)(float(np.linalg.norm(z)))
+        r = float(np.linalg.norm(z))
+        lo, hi = self.support(d)
+        # off the support the coefficients at x are not evaluated
+        if r <= 0.0 or r < lo or r >= hi:
+            return 0.0
+        return self.radial_profile(x, d)(r)
 
     def drift_tail(self, x, eps, d):
         # isotropic densities integrate to zero by symmetry

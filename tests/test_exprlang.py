@@ -181,8 +181,7 @@ def _norm(x):
 
 
 # every node type, all nine functions, x[i], |x| and r, each against the
-# same float operations written out by hand; the constant subtrees
-# (2*pi - e/3, (1 + 2)^0.5) are folded when parsed
+# same float operations written out by hand
 _CORPUS = [
     ("1 + 2*x[1] - x[2]/3", lambda x: 1.0 + 2.0 * x[0] - x[1] / 3.0),
     ("-x[1]^2 + 2^x[2]", lambda x: -x[0] ** 2.0 + 2.0 ** x[1]),
@@ -231,16 +230,11 @@ class TestCompiler:
          "coordinate x[2] out of range for d=2"),
     ])
     def test_errors_raise_when_evaluated(self, src, x, error, message):
-        # a constant subtree that raises is not folded: parsing succeeds
+        # parsing succeeds; the error is raised when evaluated
         expr = exprlang.parse(src)
         with pytest.raises(error) as err:
             exprlang.evaluate(expr, x)
         assert str(err.value) == message
-
-    def test_folded_constant(self):
-        expr = exprlang.parse("2*pi + exp(1)")
-        assert expr.is_constant()
-        assert exprlang.evaluate(expr, ()) == 2.0 * math.pi + math.exp(1.0)
 
     def test_pickle_round_trip(self):
         expr = exprlang.parse(_CORPUS[9][0])

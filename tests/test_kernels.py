@@ -302,8 +302,8 @@ class TestEnvelopePair:
         assert pair.nu2 is not None
 
 
-class TestSurfaceAreaTable:
-    @pytest.mark.parametrize("d", [1, 2, 3])
+class TestSurfaceAreaCache:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
     def test_bit_equal_to_formula(self, d):
         assert surface_area(d) == \
             2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
