@@ -32,7 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coeffs, exprlang
-from .errors import ConfigError, ExprSyntaxError, UnknownIdentifier
+from .errors import (
+    AtomicKernelError,
+    ConfigError,
+    ExprSyntaxError,
+    UnknownIdentifier,
+)
 from .estimators import EE, TEST_FUNCTIONS
 from .kernels import (
     BigJumpPowerLaw,
@@ -236,18 +241,32 @@ def _component(parser, section, d, grid_points):
             if len(z) != d:
                 _fail(section, f"atom {entry!r} has wrong dimension")
             atoms.append((weight, z))
-        return CompoundPoissonAtoms(tuple(atoms))
+        try:
+            return CompoundPoissonAtoms(tuple(atoms))
+        except ValueError as exc:
+            _fail(section, str(exc))
     if family == "cone_restriction":
-        base_section = parser.get(section, "base", fallback=None)
-        if base_section is None:
+        base_name = parser.get(section, "base", fallback=None)
+        if base_name is None:
             _fail(section, "missing base section name")
-        base = _component(parser, f"component.{base_section}", d, grid_points)
+        base_section = f"component.{base_name}"
+        if not parser.has_section(base_section):
+            _fail(section, f"no section [{base_section}]")
+        # checked before recursing: a base naming its own cone would loop
+        if parser.get(base_section, "family", fallback="").strip() \
+                == "cone_restriction":
+            _fail(section, f"base [{base_section}] is itself a cone "
+                           "restriction")
+        base = _component(parser, base_section, d, grid_points)
         pname = parser.get(section, "predicate", fallback=None)
         if pname not in PREDICATES:
             _fail(section, f"unknown predicate {pname!r}; "
                            f"choose from {sorted(PREDICATES)}")
         pred = PREDICATES[pname]()
-        return ConeRestriction(base, pred, symmetric=pred.symmetric)
+        try:
+            return ConeRestriction(base, pred, symmetric=pred.symmetric)
+        except AtomicKernelError as exc:
+            _fail(section, str(exc))
     if family == "hunt_difference":
         return HuntDifference(
             _coeff(parser, section, "c", d, grid_points),

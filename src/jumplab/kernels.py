@@ -110,9 +110,6 @@ def _uniform_direction(rng, d, n=None):
 #                                   are its base's)
 #   odd_symmetric / isotropic / atomic flags
 #   density(x, z, d)             -- atoms raise
-#   radial_profile(x, d)         -- isotropic families only: the density
-#                                   as a function r -> rho(r) of |z|, with
-#                                   the coefficients at x evaluated once
 #   second_moment(x, d), tail_mass(x, eps, d), dropped_variance(x, eps, d)
 #                                -- QuadratureResults
 #   drift_tail(x, eps, d)        -- (int_{|z|>=eps} z N(x, dz), error bound)
@@ -120,30 +117,67 @@ def _uniform_direction(rng, d, n=None):
 #   tail_sampler(d, eps)         -- draw(rng, x) and draw_many(rng, x, n)
 #   generator_terms(u, x, ux, gx, d) -- yields its terms of Lu(x), where
 #                                      ux = u(x) and gx = grad u(x)
+#
+# A component with a density describes it by three things, and
+# _DensityComponent builds its density, its generator terms and a
+# cone's moments from them in one loop over the sphere nodes:
+#   support(d)                   -- (r_lo, r_hi): the density vanishes for
+#                                   |z| outside [r_lo, r_hi)
+#   radial_profile(x, d)         -- the density as a function r -> rho(r)
+#                                   of |z|, with the coefficients at x
+#                                   evaluated once
+#   inside(z)                    -- whether z lies in the component's set:
+#                                   a cone's predicate, always true for
+#                                   the isotropic families
 
 
 class _DensityComponent:
-    """The generator terms of a component with a density: one radial
-    quadrature per sphere node."""
+    """A component with a density ``rho(|z|) 1_A(z)``."""
 
     atomic = False
 
-    def generator_terms(self, u, x, ux, gx, d):
+    def inside(self, z):
+        return True
+
+    def density(self, x, z, d):
+        z = np.asarray(z, dtype=float)
+        r = float(np.linalg.norm(z))
+        lo, hi = self.support(d)
+        # off the support the coefficients at x are not evaluated
+        if r <= 0.0 or r < lo or r >= hi or not self.inside(z):
+            return 0.0
+        return self.radial_profile(x, d)(r)
+
+    def _node_integrals(self, x, d, g, lo, rtol, max_evals):
+        """Yields ``(theta, w, res)`` for each sphere node ``theta`` of
+        weight ``w``, where ``res`` is the QuadratureResult of
+        ``int g(r, r theta, rho(r)) 1_A(r theta) dr`` over the support
+        from ``lo`` on, with at most ``max_evals`` evaluations."""
         r_lo, r_hi = self.support(d)
-        # integrand ~ r^2 * density * r^{d-1} ~ r^{1-alpha} near 0
-        sing = 1.0 - 2.0 + 1e-6 if r_lo == 0.0 else 0.0
+        lo = max(lo, r_lo)
+        # the callers' integrands at the origin behave like r^{1-alpha}
+        sing = -1.0 + 1e-6 if lo == 0.0 else 0.0
+        rho = self.radial_profile(x, d)
+        inside = self.inside
         pts, wts = sphere_nodes(d)
         for theta, w in zip(pts, wts):
             def integrand(r, th=theta):
                 z = r * th
-                dens = self.density(x, z, d)
-                if dens == 0.0:
-                    return 0.0
-                corr = float(np.dot(gx, z)) if r < 1.0 else 0.0
-                return (u(x + z) - ux - corr) * dens * r ** (d - 1)
+                return g(r, z, rho(r)) if inside(z) else 0.0
 
-            res = integrate_radial(integrand, r_lo, r_hi, sing,
-                                   rtol=1e-9, max_evals=200_000)
+            # the module global, so that a wrapper installed on it sees
+            # every radial integral
+            yield theta, w, integrate_radial(integrand, lo, r_hi, sing,
+                                             rtol, max_evals)
+
+    def generator_terms(self, u, x, ux, gx, d):
+        def g(r, z, rho_r):
+            if rho_r == 0.0:
+                return 0.0
+            corr = float(np.dot(gx, z)) if r < 1.0 else 0.0
+            return (u(x + z) - ux - corr) * rho_r * r ** (d - 1)
+
+        for _, w, res in self._node_integrals(x, d, g, 0.0, 1e-9, 200_000):
             yield w * res.value
 
 
@@ -155,14 +189,6 @@ class _Isotropic(_DensityComponent):
 
     odd_symmetric = True
     isotropic = True
-
-    def density(self, x, z, d):
-        r = float(np.linalg.norm(z))
-        lo, hi = self.support(d)
-        # off the support the coefficients at x are not evaluated
-        if r <= 0.0 or r < lo or r >= hi:
-            return 0.0
-        return self.radial_profile(x, d)(r)
 
     def drift_tail(self, x, eps, d):
         # isotropic densities integrate to zero by symmetry
@@ -525,11 +551,11 @@ class ConeRestriction(_DensityComponent):
     def support(self, d):
         return self.base.support(d)
 
-    def density(self, x, z, d):
-        z = np.asarray(z, dtype=float)
-        if not self.predicate(z):
-            return 0.0
-        return self.base.density(x, z, d)
+    def radial_profile(self, x, d):
+        return self.base.radial_profile(x, d)
+
+    def inside(self, z):
+        return self.predicate(z)
 
     def _angular_moment(self, x, power, lo, d, total, weight, size):
         """``total`` plus the sum, node by node, over sphere nodes ``theta``
@@ -539,31 +565,22 @@ class ConeRestriction(_DensityComponent):
         radial node); the returned ``(sum, error, evaluations)`` bound
         includes the indicator edge's angular error, ``size(sum)`` times
         the node spacing."""
-        r_lo, r_hi = self.base.support(d)
-        lo = max(lo, r_lo)
-        if lo >= r_hi:
+        r_lo, r_hi = self.support(d)
+        if max(lo, r_lo) >= r_hi:
             return total, 0.0, 1
-        pts, wts = sphere_nodes(d)
+        n_nodes = len(sphere_nodes(d)[1])
+        p = d - 1 + power
         error = 0.0
         evals = 0
-        sing = -1.0 + 1e-6 if r_lo == 0.0 else 0.0
-        rho = self.base.radial_profile(x, d)
-        predicate = self.predicate
-        p = d - 1 + power
-        for theta, w in zip(pts, wts):
-            res = integrate_radial(
-                lambda r, th=theta: (
-                    rho(r) * r**p * (1.0 if predicate(r * th) else 0.0)
-                ),
-                lo, r_hi, sing, DEFAULT_RTOL,
-                max(2000, DEFAULT_MAX_EVALS // len(wts)),
-            )
+        for theta, w, res in self._node_integrals(
+                x, d, lambda r, z, rho_r: rho_r * r**p, lo, DEFAULT_RTOL,
+                max(2000, DEFAULT_MAX_EVALS // n_nodes)):
             total += w * res.value * weight(theta)
             error += w * res.error_bound
             evals += res.evaluations
         # angular resolution of the indicator edge (exact in d=1)
         if d > 1:
-            error += size(total) * (2.0 / len(wts))
+            error += size(total) * (2.0 / n_nodes)
         return total, error, evals
 
     def _scalar_moment(self, x, power, lo, d):

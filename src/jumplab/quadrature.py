@@ -22,8 +22,6 @@ from .errors import DivergenceDetected, ToleranceNotMet
 __all__ = [
     "QuadratureResult",
     "integrate_radial",
-    "integrate_sphere",
-    "integrate_shell",
     "sphere_nodes",
     "DEFAULT_RTOL",
     "DEFAULT_MAX_EVALS",
@@ -269,35 +267,3 @@ def sphere_nodes(d):
     _cached_nodes[d] = (pts, wts)
     return pts, wts
 
-
-def integrate_sphere(g, d):
-    """Integrate ``g(theta)`` over the unit sphere in R^d."""
-    pts, wts = sphere_nodes(d)
-    total = 0.0
-    for p, w in zip(pts, wts):
-        total += w * g(p)
-    return QuadratureResult(total, abs(total) * 1e-12, len(wts))
-
-
-def integrate_shell(f, d, r_lo, r_hi, singular_exponent=0.0,
-                    rtol=DEFAULT_RTOL, max_evals=DEFAULT_MAX_EVALS):
-    """Integrate ``f(z) dz`` over the shell ``r_lo <= |z| < r_hi`` in R^d.
-
-    Product rule: for each sphere node ``theta`` the radial factor
-    ``f(r theta) r^{d-1}`` is integrated with :func:`integrate_radial`.
-    ``singular_exponent`` describes ``f(r theta) r^{d-1}`` near 0.
-    """
-    pts, wts = sphere_nodes(d)
-    value = 0.0
-    error = 0.0
-    evals = 0
-    per_node = max(1000, max_evals // len(wts))
-    for theta, w in zip(pts, wts):
-        res = integrate_radial(
-            lambda r, th=theta: f(r * th) * r ** (d - 1),
-            r_lo, r_hi, singular_exponent, rtol, per_node,
-        )
-        value += w * res.value
-        error += abs(w) * res.error_bound
-        evals += res.evaluations
-    return QuadratureResult(value, error, evals)

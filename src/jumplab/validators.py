@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 DRIFT_TOL = 1e-7
+DRIFT_EPSILONS = (1.0, 0.5, 0.1)
 EIGEN_TOL = 1e-9
 
 PASS = "pass"
@@ -177,7 +178,7 @@ def check_second_moment(kernel, grid):
     )
 
 
-def check_zero_drift(kernel, grid, epsilons=(1.0, 0.5, 0.1), tol=DRIFT_TOL):
+def check_zero_drift(kernel, grid):
     """Vanishing of the large-jump drift for every threshold."""
     name = "zero_drift"
     citation = "vanishing drift of jumps above every threshold"
@@ -191,10 +192,10 @@ def check_zero_drift(kernel, grid, epsilons=(1.0, 0.5, 0.1), tol=DRIFT_TOL):
     worst = 0.0
     worst_at = None
     for x in grid.points:
-        for eps in epsilons:
+        for eps in DRIFT_EPSILONS:
             try:
                 vec, err = kernel.drift_tail(x, eps)
-            except DivergentIntegral as exc:
+            except (DivergentIntegral, DomainError) as exc:
                 return CheckResult(
                     name, FAIL, {"error": str(exc)}, citation, witness=x
                 )
@@ -202,16 +203,16 @@ def check_zero_drift(kernel, grid, epsilons=(1.0, 0.5, 0.1), tol=DRIFT_TOL):
             if m > worst:
                 worst = m
                 worst_at = (x, eps)
-    if worst <= tol:
+    if worst <= DRIFT_TOL:
         return CheckResult(
             name, PASS,
-            {"max_abs_drift": worst, "tolerance": tol,
+            {"max_abs_drift": worst, "tolerance": DRIFT_TOL,
              "grid_points": len(grid.points)},
             citation,
         )
     return CheckResult(
         name, FAIL,
-        {"max_abs_drift": worst, "tolerance": tol},
+        {"max_abs_drift": worst, "tolerance": DRIFT_TOL},
         citation, witness=worst_at,
     )
 
@@ -276,7 +277,7 @@ def check_envelopes(kernel, envelopes, grid, z_samples):
     return CheckResult(name, PASS, evidence, citation)
 
 
-def check_ellipticity(kernel, grid, tol=EIGEN_TOL):
+def check_ellipticity(kernel, grid):
     """Uniform bounds on the eigenvalues of the second-moment matrix."""
     name = "ellipticity"
     citation = "uniform ellipticity of a_ij(x)"
@@ -303,7 +304,7 @@ def check_ellipticity(kernel, grid, tol=EIGEN_TOL):
         "quadrature_error": max_err, "grid_points": len(grid.points),
         "bounds": bounds,
     }
-    if lam > tol:
+    if lam > EIGEN_TOL:
         return CheckResult(name, PASS, evidence, citation)
     return CheckResult(name, FAIL, evidence, citation, witness=lam_at)
 
@@ -325,12 +326,11 @@ def _modulus_of_continuity(fn, points, radii):
     return omega
 
 
-def check_index_regularity(alpha, grid, pair_radii=None,
-                           lipschitz_constant=None):
+def check_index_regularity(alpha, grid, lipschitz_constant=None):
     """Range and modulus-of-continuity conditions on the order function."""
     name = "index_regularity"
     citation = "variable order bounded in (0, 2) with a Dini modulus"
-    radii = tuple(pair_radii) if pair_radii is not None else grid.pair_radii
+    radii = grid.pair_radii
     try:
         vals = [alpha(p) for p in grid.points]
     except (DomainError, IndexError) as exc:
@@ -440,13 +440,13 @@ def _continuity_probe(fn, points):
     )
 
 
-def check_hunt_conditions(component, grid, pair_radii=None):
+def check_hunt_conditions(component, grid):
     """Integrability and regularity conditions for a Hunt-difference kernel."""
     name = "hunt"
     citation = "integrable variable-order tail with controlled asymmetry"
     if not isinstance(component, HuntDifference):
         raise TypeError("check_hunt_conditions requires a Hunt component")
-    radii = tuple(pair_radii) if pair_radii is not None else grid.pair_radii
+    radii = grid.pair_radii
     alpha = component.alpha_r
     evidence = {}
 
@@ -539,12 +539,13 @@ def audit_cone_symmetry(component, z_samples):
     )
 
 
-def run_all(kernel, grid, envelopes=None, z_samples=None,
-            epsilons=(1.0, 0.5, 0.1)):
-    """Run every applicable check for ``kernel`` and collect a report."""
+def run_all(kernel, grid):
+    """Run every grid check that applies to ``kernel`` and collect a
+    report.  The envelope check and the cone symmetry audit need jump
+    samples ``z``; they are called on their own."""
     report = ValidationReport()
     report.add(check_second_moment(kernel, grid))
-    report.add(check_zero_drift(kernel, grid, epsilons))
+    report.add(check_zero_drift(kernel, grid))
     report.add(check_ellipticity(kernel, grid))
     for comp in kernel.components:
         # a cone is checked through the family of its base
@@ -556,8 +557,4 @@ def run_all(kernel, grid, envelopes=None, z_samples=None,
         alpha = getattr(family, "alpha", None)
         if alpha is not None:
             report.add(check_index_regularity(alpha, grid))
-        if isinstance(comp, ConeRestriction) and z_samples is not None:
-            report.add(audit_cone_symmetry(comp, z_samples))
-    if envelopes is not None and z_samples is not None:
-        report.add(check_envelopes(kernel, envelopes, grid, z_samples))
     return report

@@ -233,6 +233,49 @@ class TestCliExitCodes:
         p = write(tmp_path, "[kernel]\ndimension = 9\n")
         assert main(["validate", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("body, message", [
+        ("family = cone_restriction\nbase = main\n"
+         "predicate = first_positive\n",
+         "base [component.main] is itself a cone restriction"),
+        ("family = compound_poisson_atoms\natoms = -1.0: 0.5\n",
+         "atom weight -1.0 must be >= 0"),
+        ("family = compound_poisson_atoms\natoms = 1.0: 0.0\n",
+         "atoms must exclude the origin"),
+        ("family = cone_restriction\nbase = atoms\n"
+         "predicate = first_positive\n\n[component.atoms]\n"
+         "family = compound_poisson_atoms\natoms = 1.0: 0.5\n",
+         "cone restriction of an atomic component is not supported"),
+        ("family = cone_restriction\nbase = missing\n"
+         "predicate = first_positive\n",
+         "no section [component.missing]"),
+    ], ids=["cone_over_itself", "negative_atom_weight", "atom_at_origin",
+            "cone_over_atoms", "missing_base"])
+    def test_malformed_component(self, tmp_path, capsys, body, message):
+        p = write(tmp_path, ONE_COMPONENT.format(main=body))
+        assert main(["validate", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: [component.main] {message}"
+                in capsys.readouterr().err)
+
+    def test_zero_drift_out_of_domain_coefficient(self, tmp_path):
+        # alpha(-10) = 2.5 lies outside (0, 2): the drift check fails with
+        # that witness, as the second-moment and ellipticity checks do
+        body = ("family = cone_restriction\nbase = small\n"
+                "predicate = first_positive\n\n[component.small]\n"
+                "family = stable_like_small\nc = 1.0\n"
+                "alpha = 1.5 + 0.1*|x|\n")
+        text = ONE_COMPONENT.format(main=body).replace(
+            "extent = 2", "extent = 10")
+        p = write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["validate", str(p), "--out", str(out)]) == 1
+        report = (out / config_hash(text) / "reports"
+                  / "validation.txt").read_text()
+        assert ("check zero_drift\n  verdict = fail\n"
+                "  condition = vanishing drift of jumps above every "
+                "threshold\n  witness = (-10.0,)\n"
+                "  error = 'alpha(x)=2.5 outside (0, 2) at x=(-10.0,)'\n"
+                in report)
+
     def test_simulate_blocked_without_force(self, tmp_path):
         bad = CONFIGS / "divergent_power_law.cfg"
         assert main(["simulate", str(bad),

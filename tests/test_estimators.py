@@ -1,11 +1,13 @@
 """Path-functional estimators: exact integrals, generator action, gates."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from jumplab import coeffs
+from jumplab import coeffs, exprlang
+from jumplab.config import FirstCoordinatePositive
 from jumplab.errors import RangeError
 from jumplab.estimators import (
     EE,
@@ -19,7 +21,14 @@ from jumplab.estimators import (
     qv_comparison,
     second_moment_identity,
 )
-from jumplab.kernels import CompoundPoissonAtoms, KernelSpec, StableLikeSmall
+from jumplab.kernels import (
+    BigJumpPowerLaw,
+    BigJumpStretchedExp,
+    CompoundPoissonAtoms,
+    ConeRestriction,
+    KernelSpec,
+    StableLikeSmall,
+)
 from jumplab.simulator import (
     Path,
     PathEnsemble,
@@ -103,6 +112,101 @@ class TestApplyGenerator:
                                            coeffs.constant(1.0)),))
         val = apply_generator(k, "square_first", (0.0,))
         assert val == pytest.approx(2.0, rel=1e-6)
+
+
+def _stable():
+    return StableLikeSmall(
+        coeffs.from_source("1 + 1/(1 + |x|^2)", 1.0, 2.0),
+        coeffs.from_source("0.5 + 0.3/(1 + |x|^2)", 0.5, 0.8))
+
+
+def _power():
+    return BigJumpPowerLaw(
+        coeffs.from_source("0.5 + 0.5/(1 + |x|^2)", 0.5, 1.0),
+        coeffs.constant(3.0))
+
+
+def _stretched():
+    return BigJumpStretchedExp(
+        coeffs.from_source("1 + 1/(1 + |x|^2)", 1.0, 2.0), 1.0,
+        coeffs.from_source("1 + 0.5/(1 + |x|^2)", 1.0, 1.5))
+
+
+PINNED_KERNELS = {
+    "stable": lambda: (_stable(),),
+    "stable_power": lambda: (_stable(), _power()),
+    "stretched": lambda: (_stretched(),),
+    "cone": lambda: (ConeRestriction(_stable(), FirstCoordinatePositive()),),
+}
+
+# Lu(x) recorded as float.hex before the density components shared one
+# sphere-node loop; the cases where that code raised DivergenceDetected
+# (the cancellation of u(x+z) - u(x) - grad u . z near z = 0) are left out
+PINNED_GENERATOR = {
+    ("stable", "sin_first", (0.0,)): "0x0.0p+0",
+    ("stable", "sin_first", (0.7,)): "-0x1.9ace04c316be7p-1",
+    ("stable", "cos_first", (0.0,)): "-0x1.9d9a748732777p+0",
+    ("stable", "cos_first", (0.7,)): "-0x1.e7b97f2184863p-1",
+    ("stable", "square_first", (0.0,)): "0x1.aaaaaaa7c3cc0p+1",
+    ("stable", "square_first", (0.7,)): "0x1.496d25b24d3bfp+1",
+    ("stable", "square_first", (0.3, -0.4)): "0x1.1f3b3853b92b6p+2",
+    ("stable", "square_first", (0.2, 0.1, -0.3)): "0x1.96e08966911b5p+2",
+    ("stable_power", "sin_first", (0.0,)): "0x0.0p+0",
+    ("stable_power", "sin_first", (0.7,)): "-0x1.1a68a16f4de4ep+0",
+    ("stable_power", "cos_first", (0.0,)): "-0x1.16549759b6697p+1",
+    ("stable_power", "cos_first", (0.7,)): "-0x1.4f4995c17ce2fp+0",
+    ("stable_power", "square_first", (0.0,)): "0x1.55555551e1e60p+2",
+    ("stable_power", "square_first", (0.7,)): "0x1.0faa8bf8c02c9p+2",
+    ("stable_power", "square_first", (0.3, -0.4)): "0x1.d42fe37d1cc44p+2",
+    ("stable_power", "square_first", (0.2, 0.1, -0.3)): "0x1.493fcd800e3c7p+3",
+    ("stretched", "sin_first", (0.0,)): "0x0.0p+0",
+    ("stretched", "sin_first", (0.7,)): "-0x1.019d8d5d37696p-1",
+    ("stretched", "cos_first", (0.0,)): "-0x1.7864fb401dd72p-1",
+    ("stretched", "cos_first", (0.7,)): "-0x1.31da11331cb87p-1",
+    ("stretched", "square_first", (0.0,)): "0x1.f6472f2e6944bp+0",
+    ("stretched", "square_first", (0.7,)): "0x1.20db6df65f5ccp+1",
+    ("stretched", "sin_first", (0.3, -0.4)): "-0x1.629ac8f56ddf8p-1",
+    ("stretched", "cos_first", (0.3, -0.4)): "-0x1.1e95c884e0030p+1",
+    ("stretched", "square_first", (0.3, -0.4)): "0x1.9afb3ab00b747p+2",
+    ("stretched", "sin_first", (0.2, 0.1, -0.3)): "-0x1.410e3b75f87c3p+0",
+    ("stretched", "cos_first", (0.2, 0.1, -0.3)): "-0x1.8bf4494860f07p+2",
+    ("stretched", "square_first", (0.2, 0.1, -0.3)): "0x1.0f2e92d325935p+4",
+    ("cone", "sin_first", (0.0, 0.0)): "-0x1.952fd8dba1197p-3",
+    ("cone", "sin_first", (0.5, -1.0)): "-0x1.02514e2bd6dc6p-1",
+    ("cone", "cos_first", (0.0, 0.0)): "-0x1.4761c9edecca5p+0",
+    ("cone", "square_first", (0.0, 0.0)): "0x1.4f1a6c614590dp+1",
+    ("cone", "square_first", (0.5, -1.0)): "0x1.a9024b052ad07p+0",
+}
+
+
+class TestPinnedGenerator:
+    @pytest.mark.parametrize("kernel, fn, x", list(PINNED_GENERATOR))
+    def test_pinned(self, kernel, fn, x):
+        k = KernelSpec(len(x), PINNED_KERNELS[kernel]())
+        got = apply_generator(k, fn, x)
+        want = float.fromhex(PINNED_GENERATOR[kernel, fn, x])
+        if len(x) == 1:
+            assert got.hex() == want.hex()
+        else:
+            # in d > 1 the radial profile is taken at r, not at |r theta|,
+            # which may differ in the last bit
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_each_coefficient_evaluated_once(self, monkeypatch):
+        k = KernelSpec(1, (StableLikeSmall(
+            coeffs.from_source("1 + 1/(1 + |x|^2)", 1.0, 2.0),
+            coeffs.constant(1.0)),))
+        calls = collections.Counter()
+        evaluate = exprlang.evaluate
+
+        def counting(expr, x):
+            calls[id(expr)] += 1
+            return evaluate(expr, x)
+
+        monkeypatch.setattr(exprlang, "evaluate", counting)
+        apply_generator(k, "square_first", (0.5,))
+        assert len(calls) == 2
+        assert max(calls.values()) == 1
 
 
 class TestMartingale:
