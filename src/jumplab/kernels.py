@@ -110,8 +110,14 @@ def _uniform_direction(rng, d, n=None):
 #                                   are its base's)
 #   odd_symmetric / isotropic / atomic flags
 #   density(x, z, d)             -- atoms raise
+#   moment(x, power, lo, hi, d)  -- the QuadratureResult of
+#                                   int_{lo <= |z| < hi} |z|^power N(x, dz)
+#                                   for power 0 or 2; an empty band gives
+#                                   QuadratureResult(0.0, 0.0, 1)
 #   second_moment(x, d), tail_mass(x, eps, d), dropped_variance(x, eps, d)
-#                                -- QuadratureResults
+#                                -- the bands [0, inf), [eps, inf) and
+#                                   [0, eps) of moment, defined once in
+#                                   _BandedMoments
 #   drift_tail(x, eps, d)        -- (int_{|z|>=eps} z N(x, dz), error bound)
 #   diffusion(x, d)              -- (int z z^T N(x, dz), error bound)
 #   tail_sampler(d, eps)         -- draw(rng, x) and draw_many(rng, x, n)
@@ -131,7 +137,23 @@ def _uniform_direction(rng, d, n=None):
 #                                   the isotropic families
 
 
-class _DensityComponent:
+_EMPTY_BAND = QuadratureResult(0.0, 0.0, 1)
+
+
+class _BandedMoments:
+    """The three moments the library asks for, as bands of ``moment``."""
+
+    def second_moment(self, x, d):
+        return self.moment(x, 2, 0.0, math.inf, d)
+
+    def tail_mass(self, x, eps, d):
+        return self.moment(x, 0, eps, math.inf, d)
+
+    def dropped_variance(self, x, eps, d):
+        return self.moment(x, 2, 0.0, eps, d)
+
+
+class _DensityComponent(_BandedMoments):
     """A component with a density ``rho(|z|) 1_A(z)``."""
 
     atomic = False
@@ -148,13 +170,14 @@ class _DensityComponent:
             return 0.0
         return self.radial_profile(x, d)(r)
 
-    def _node_integrals(self, x, d, g, lo, rtol, max_evals):
+    def _node_integrals(self, x, d, g, lo, hi, rtol, max_evals):
         """Yields ``(theta, w, res)`` for each sphere node ``theta`` of
         weight ``w``, where ``res`` is the QuadratureResult of
         ``int g(r, r theta, rho(r)) 1_A(r theta) dr`` over the support
-        from ``lo`` on, with at most ``max_evals`` evaluations."""
+        within ``[lo, hi)``, with at most ``max_evals`` evaluations."""
         r_lo, r_hi = self.support(d)
         lo = max(lo, r_lo)
+        hi = min(hi, r_hi)
         # the callers' integrands at the origin behave like r^{1-alpha}
         sing = -1.0 + 1e-6 if lo == 0.0 else 0.0
         rho = self.radial_profile(x, d)
@@ -167,7 +190,7 @@ class _DensityComponent:
 
             # the module global, so that a wrapper installed on it sees
             # every radial integral
-            yield theta, w, integrate_radial(integrand, lo, r_hi, sing,
+            yield theta, w, integrate_radial(integrand, lo, hi, sing,
                                              rtol, max_evals)
 
     def generator_terms(self, u, x, ux, gx, d):
@@ -177,13 +200,14 @@ class _DensityComponent:
             corr = float(np.dot(gx, z)) if r < 1.0 else 0.0
             return (u(x + z) - ux - corr) * rho_r * r ** (d - 1)
 
-        for _, w, res in self._node_integrals(x, d, g, 0.0, 1e-9, 200_000):
+        for _, w, res in self._node_integrals(x, d, g, 0.0, math.inf, 1e-9,
+                                              200_000):
             yield w * res.value
 
 
 class _Isotropic(_DensityComponent):
     """What the isotropic families share.  Each family supplies
-    ``support``, ``radial_profile``, its moments, and the inverse CDF
+    ``support``, ``radial_profile``, ``moment``, and the inverse CDF
     ``tail_radius(u, x, eps)`` of its tail radius or a sampler of its
     own."""
 
@@ -259,22 +283,17 @@ class StableLikeSmall(_Isotropic):
         p = -d - a
         return lambda r: cv * r**p if 0.0 < r < 1.0 else 0.0
 
-    def second_moment(self, x, d):
+    def moment(self, x, power, lo, hi, d):
+        # the band is clipped by comparisons: thinning asks for a tail
+        # mass at every proposal
+        if hi > 1.0:
+            hi = 1.0
+        if lo >= hi:
+            return _EMPTY_BAND
         cv, a = self._coeff(x, d)
-        return QuadratureResult(cv * surface_area(d) / (2.0 - a), 0.0, 1)
-
-    def tail_mass(self, x, eps, d):
-        if eps >= 1.0:
-            return QuadratureResult(0.0, 0.0, 1)
-        cv, a = self._coeff(x, d)
-        value = cv * surface_area(d) * (eps ** (-a) - 1.0) / a
-        return QuadratureResult(value, 0.0, 1)
-
-    def dropped_variance(self, x, eps, d):
-        cv, a = self._coeff(x, d)
-        e = min(eps, 1.0)
+        q = power - a
         return QuadratureResult(
-            cv * surface_area(d) * e ** (2.0 - a) / (2.0 - a), 0.0, 1
+            cv * surface_area(d) * (hi**q - lo**q) / q, 0.0, 1
         )
 
     def tail_radius(self, u, x, eps):
@@ -309,22 +328,26 @@ class BigJumpPowerLaw(_Isotropic):
         p = -d - b
         return lambda r: 0.0 if r < 1.0 else cv * r**p
 
-    def second_moment(self, x, d):
+    def moment(self, x, power, lo, hi, d):
+        if lo < 1.0:
+            lo = 1.0
+        if lo >= hi:
+            return _EMPTY_BAND
         cv, b = self._coeff(x)
-        if b <= 2.0:
+        # beta1 > 0, so only the second moment can diverge
+        if hi == math.inf and b <= power:
             raise DivergentIntegral(
                 f"big-jump second moment diverges: beta1(x)={b} <= 2 "
                 f"at x={tuple(x)}"
             )
-        return QuadratureResult(cv * surface_area(d) / (b - 2.0), 0.0, 1)
-
-    def tail_mass(self, x, eps, d):
-        cv, b = self._coeff(x)
-        m = max(eps, 1.0)
-        return QuadratureResult(cv * surface_area(d) * m ** (-b) / b, 0.0, 1)
-
-    def dropped_variance(self, x, eps, d):
-        return QuadratureResult(0.0, 0.0, 1)
+        q = power - b
+        if q == 0:
+            return QuadratureResult(
+                cv * surface_area(d) * math.log(hi / lo), 0.0, 1
+            )
+        return QuadratureResult(
+            cv * surface_area(d) * (hi**q - lo**q) / q, 0.0, 1
+        )
 
     def tail_radius(self, u, x, eps):
         # inverse CDF of r^{-1-beta1} on [max(eps, 1), inf)
@@ -359,24 +382,19 @@ class BigJumpStretchedExp(_Isotropic):
         neg_lam = -self.lam
         return lambda r: 0.0 if r < 1.0 else cv * math.exp(neg_lam * r**b)
 
-    def _radial_moment(self, x, power, lo, d):
+    def moment(self, x, power, lo, hi, d):
+        if lo < 1.0:
+            lo = 1.0
+        if lo >= hi:
+            return _EMPTY_BAND
         cv, b = self._coeff(x)
         res = integrate_radial(
             lambda r: r ** (d - 1 + power) * math.exp(-self.lam * r**b),
-            lo, math.inf, 0.0,
+            lo, hi, 0.0,
         )
         return QuadratureResult(cv * surface_area(d) * res.value,
                                 cv * surface_area(d) * res.error_bound,
                                 res.evaluations)
-
-    def second_moment(self, x, d):
-        return self._radial_moment(x, 2, 1.0, d)
-
-    def tail_mass(self, x, eps, d):
-        return self._radial_moment(x, 0, max(eps, 1.0), d)
-
-    def dropped_variance(self, x, eps, d):
-        return QuadratureResult(0.0, 0.0, 1)
 
     def tail_sampler(self, d, eps):
         return _RejectionSampler(self._rejection_radius, d, eps)
@@ -415,7 +433,7 @@ class _RejectionSampler(_RadialSampler):
 
 
 @dataclass(frozen=True)
-class CompoundPoissonAtoms:
+class CompoundPoissonAtoms(_BandedMoments):
     """Finite atomic measure ``sum_k w_k delta_{z_k}``, atoms off the origin."""
 
     atoms: tuple  # of (weight, z-vector) pairs
@@ -448,41 +466,28 @@ class CompoundPoissonAtoms:
     def density(self, x, z, d):
         raise AtomicKernelError("atomic components have no density")
 
-    def second_moment(self, x, d):
-        value = sum(w * float(np.dot(z, z)) for w, z in self.atoms)
+    def moment(self, x, power, lo, hi, d):
+        value = 0.0
+        for w, z in self.atoms:
+            r2 = float(np.dot(z, z))
+            # sqrt of the dot is np.linalg.norm(z), as the sampler tests
+            if lo <= math.sqrt(r2) < hi:
+                value += w * r2 ** (power / 2)
         return QuadratureResult(value, 0.0, 1)
 
-    def tail_mass(self, x, eps, d):
-        value = sum(w for w, z in self.atoms if np.linalg.norm(z) >= eps)
-        return QuadratureResult(value, 0.0, 1)
-
-    def drift_tail_exact(self, x, eps, d):
+    def drift_tail(self, x, eps, d):
         total = np.zeros(d)
         for w, z in self.atoms:
             if np.linalg.norm(z) >= eps:
                 total += w * np.asarray(z)
-        return total
+        return total, 0.0
 
-    def drift_tail(self, x, eps, d):
-        return self.drift_tail_exact(x, eps, d), 0.0
-
-    def diffusion_exact(self, x, d):
+    def diffusion(self, x, d):
         a = np.zeros((d, d))
         for w, z in self.atoms:
             zv = np.asarray(z)
             a += w * np.outer(zv, zv)
-        return a
-
-    def diffusion(self, x, d):
-        return self.diffusion_exact(x, d), 0.0
-
-    def dropped_variance(self, x, eps, d):
-        value = sum(
-            w * float(np.dot(z, z))
-            for w, z in self.atoms
-            if np.linalg.norm(z) < eps
-        )
-        return QuadratureResult(value, 0.0, 1)
+        return a, 0.0
 
     def tail_sampler(self, d, eps):
         return _AtomSampler(self.atoms, eps)
@@ -557,23 +562,23 @@ class ConeRestriction(_DensityComponent):
     def inside(self, z):
         return self.predicate(z)
 
-    def _angular_moment(self, x, power, lo, d, total, weight, size):
+    def _angular_moment(self, x, power, lo, hi, d, total, weight, size):
         """``total`` plus the sum, node by node, over sphere nodes ``theta``
-        of ``w weight(theta) int_lo r^{d-1+power} rho(r) 1_A(r theta) dr``.
+        of ``w weight(theta) int_lo^hi r^{d-1+power} rho(r) 1_A(r theta) dr``.
 
         Exact along the radius (the indicator is evaluated at each
         radial node); the returned ``(sum, error, evaluations)`` bound
         includes the indicator edge's angular error, ``size(sum)`` times
         the node spacing."""
         r_lo, r_hi = self.support(d)
-        if max(lo, r_lo) >= r_hi:
+        if max(lo, r_lo) >= min(hi, r_hi):
             return total, 0.0, 1
         n_nodes = len(sphere_nodes(d)[1])
         p = d - 1 + power
         error = 0.0
         evals = 0
         for theta, w, res in self._node_integrals(
-                x, d, lambda r, z, rho_r: rho_r * r**p, lo, DEFAULT_RTOL,
+                x, d, lambda r, z, rho_r: rho_r * r**p, lo, hi, DEFAULT_RTOL,
                 max(2000, DEFAULT_MAX_EVALS // n_nodes)):
             total += w * res.value * weight(theta)
             error += w * res.error_bound
@@ -583,39 +588,21 @@ class ConeRestriction(_DensityComponent):
             error += size(total) * (2.0 / n_nodes)
         return total, error, evals
 
-    def _scalar_moment(self, x, power, lo, d):
+    def moment(self, x, power, lo, hi, d):
         return QuadratureResult(*self._angular_moment(
-            x, power, lo, d, 0.0, lambda th: 1.0, abs))
-
-    def second_moment(self, x, d):
-        return self._scalar_moment(x, 2, 0.0, d)
-
-    def tail_mass(self, x, eps, d):
-        return self._scalar_moment(x, 0, eps, d)
+            x, power, lo, hi, d, 0.0, lambda th: 1.0, abs))
 
     def drift_tail(self, x, eps, d):
         vec, err, _ = self._angular_moment(
-            x, 1, eps, d, np.zeros(d), lambda th: th,
+            x, 1, eps, math.inf, d, np.zeros(d), lambda th: th,
             lambda v: float(np.linalg.norm(v)))
         return vec, err
 
     def diffusion(self, x, d):
         a, err, _ = self._angular_moment(
-            x, 2, 0.0, d, np.zeros((d, d)), lambda th: np.outer(th, th),
-            lambda m: float(np.trace(m)))
+            x, 2, 0.0, math.inf, d, np.zeros((d, d)),
+            lambda th: np.outer(th, th), lambda m: float(np.trace(m)))
         return a, err
-
-    def dropped_variance(self, x, eps, d):
-        r_lo, _ = self.base.support(d)
-        if eps <= r_lo:
-            return QuadratureResult(0.0, 0.0, 1)
-        full = self.second_moment(x, d)
-        tail = self._scalar_moment(x, 2, eps, d)
-        return QuadratureResult(
-            max(full.value - tail.value, 0.0),
-            full.error_bound + tail.error_bound,
-            full.evaluations + tail.evaluations,
-        )
 
     def tail_sampler(self, d, eps):
         return _ConeSampler(self, d, eps)
@@ -668,7 +655,7 @@ class HuntDifference(_Isotropic):
         alpha_r = self.alpha_r
         return lambda r: 0.0 if r <= 0.0 else cv * r ** (-d - alpha_r((r,)))
 
-    def _radial_moment(self, x, power, lo, d, hi=math.inf):
+    def moment(self, x, power, lo, hi, d):
         cv = self.c(x)
         # near 0 the integrand behaves like r^{power-1-alpha(0+)}
         sing = power - 1.0 - self.alpha_r((1e-12,)) if lo == 0.0 else 0.0
@@ -679,15 +666,6 @@ class HuntDifference(_Isotropic):
         s = surface_area(d)
         return QuadratureResult(cv * s * res.value, cv * s * res.error_bound,
                                 res.evaluations)
-
-    def second_moment(self, x, d):
-        return self._radial_moment(x, 2, 0.0, d)
-
-    def tail_mass(self, x, eps, d):
-        return self._radial_moment(x, 0, eps, d)
-
-    def dropped_variance(self, x, eps, d):
-        return self._radial_moment(x, 2, 0.0, d, eps)
 
     def tail_sampler(self, d, eps):
         return _RadialSampler(_HuntRadialTable(self.alpha_r, eps).radius,
