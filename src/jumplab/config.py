@@ -68,7 +68,7 @@ class FirstAxisCone:
     symmetric = True
 
     def __call__(self, z):
-        # plain Python: the cone moments call this at every radial node
+        # plain Python: the generator calls this at every radial node
         first = abs(z[0])
         for c in z:
             if not first >= abs(c):

@@ -5,8 +5,9 @@ structure: small-jump stable-like power laws on ``0 < |z| < 1``,
 big-jump power laws or stretched exponentials on ``|z| >= 1``, finite
 atomic measures, cone restrictions of an isotropic base, and
 Hunt-difference kernels ``J(x, x+z)``.  Power-law and atomic moments
-are evaluated in closed form; everything else falls back to the radial
-x spherical product quadrature.
+are evaluated in closed form, the others by radial quadrature.  A
+cone's moments are its base's times a table of angular sums over the
+sphere nodes; only the generator integrates node by node.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from .errors import (
     DomainError,
     EnvelopeViolation,
 )
-from .quadrature import (
-    DEFAULT_MAX_EVALS,
-    DEFAULT_RTOL,
-    QuadratureResult,
-    integrate_radial,
-    sphere_nodes,
-)
+from .quadrature import QuadratureResult, integrate_radial, sphere_nodes
 
 __all__ = [
     "KernelSpec",
@@ -112,7 +107,7 @@ def _uniform_direction(rng, d, n=None):
 #   density(x, z, d)             -- atoms raise
 #   moment(x, power, lo, hi, d)  -- the QuadratureResult of
 #                                   int_{lo <= |z| < hi} |z|^power N(x, dz)
-#                                   for power 0 or 2; an empty band gives
+#                                   for power 0, 1 or 2; an empty band gives
 #                                   QuadratureResult(0.0, 0.0, 1)
 #   second_moment(x, d), tail_mass(x, eps, d), dropped_variance(x, eps, d)
 #                                -- the bands [0, inf), [eps, inf) and
@@ -124,17 +119,23 @@ def _uniform_direction(rng, d, n=None):
 #   generator_terms(u, x, ux, gx, d) -- yields its terms of Lu(x), where
 #                                      ux = u(x) and gx = grad u(x)
 #
-# A component with a density describes it by three things, and
-# _DensityComponent builds its density, its generator terms and a
-# cone's moments from them in one loop over the sphere nodes:
+# A component with a density rho(|z|) 1_A(z), A closed under scaling,
+# describes it by three things, from which _DensityComponent builds its
+# density, and its generator terms in one loop over the sphere nodes:
 #   support(d)                   -- (r_lo, r_hi): the density vanishes for
 #                                   |z| outside [r_lo, r_hi)
 #   radial_profile(x, d)         -- the density as a function r -> rho(r)
 #                                   of |z|, with the coefficients at x
 #                                   evaluated once
-#   inside(z)                    -- whether z lies in the component's set:
-#                                   a cone's predicate, always true for
-#                                   the isotropic families
+#   inside(z)                    -- whether z lies in A: a cone's
+#                                   predicate, always true for the
+#                                   isotropic families
+# Its drift_tail and diffusion, and a cone's moment, are the moment of
+# _radial (the family itself, or a cone's base) at power 1, 2 or any,
+# times m1, m2 or m0 of _angular_table(d) = ((m0, m1, m2), sizes, edge):
+# the sums over the sphere nodes of w 1_A(theta) {1, theta, theta theta^T}
+# / |S|, their sizes (|m0|, |m1|, trace m2), and the relative error of
+# the indicator edge.
 
 
 _EMPTY_BAND = QuadratureResult(0.0, 0.0, 1)
@@ -153,10 +154,21 @@ class _BandedMoments:
         return self.moment(x, 2, 0.0, eps, d)
 
 
+@functools.cache
+def _isotropic_table(d):
+    # the whole sphere, exactly: no mean direction, covariance I/d
+    return (1.0, np.zeros(d), np.eye(d) / d), (1.0, 0.0, 1.0), 0.0
+
+
 class _DensityComponent(_BandedMoments):
     """A component with a density ``rho(|z|) 1_A(z)``."""
 
     atomic = False
+
+    _radial = property(lambda self: self)
+
+    def _angular_table(self, d):
+        return _isotropic_table(d)
 
     def inside(self, z):
         return True
@@ -170,15 +182,28 @@ class _DensityComponent(_BandedMoments):
             return 0.0
         return self.radial_profile(x, d)(r)
 
-    def _node_integrals(self, x, d, g, lo, hi, rtol, max_evals):
-        """Yields ``(theta, w, res)`` for each sphere node ``theta`` of
-        weight ``w``, where ``res`` is the QuadratureResult of
-        ``int g(r, r theta, rho(r)) 1_A(r theta) dr`` over the support
-        within ``[lo, hi)``, with at most ``max_evals`` evaluations."""
-        r_lo, r_hi = self.support(d)
-        lo = max(lo, r_lo)
-        hi = min(hi, r_hi)
-        # the callers' integrands at the origin behave like r^{1-alpha}
+    def _product(self, x, power, lo, hi, d, k):
+        """The radial moment of ``power`` over ``[lo, hi)`` times the
+        angular sum ``m_k``; the radial and the indicator edge's errors
+        scale with the size of ``m_k``."""
+        res = self._radial.moment(x, power, lo, hi, d)
+        sums, sizes, edge = self._angular_table(d)
+        return QuadratureResult(
+            res.value * sums[k],
+            (res.error_bound + edge * abs(res.value)) * sizes[k],
+            res.evaluations)
+
+    def drift_tail(self, x, eps, d):
+        res = self._product(x, 1, eps, math.inf, d, 1)
+        return res.value, res.error_bound
+
+    def diffusion(self, x, d):
+        res = self._product(x, 2, 0.0, math.inf, d, 2)
+        return res.value, res.error_bound
+
+    def generator_terms(self, u, x, ux, gx, d):
+        lo, hi = self.support(d)
+        # the integrand at the origin behaves like r^{1-alpha}
         sing = -1.0 + 1e-6 if lo == 0.0 else 0.0
         rho = self.radial_profile(x, d)
         inside = self.inside
@@ -186,23 +211,15 @@ class _DensityComponent(_BandedMoments):
         for theta, w in zip(pts, wts):
             def integrand(r, th=theta):
                 z = r * th
-                return g(r, z, rho(r)) if inside(z) else 0.0
+                if not inside(z) or (rho_r := rho(r)) == 0.0:
+                    return 0.0
+                corr = float(np.dot(gx, z)) if r < 1.0 else 0.0
+                return (u(x + z) - ux - corr) * rho_r * r ** (d - 1)
 
             # the module global, so that a wrapper installed on it sees
             # every radial integral
-            yield theta, w, integrate_radial(integrand, lo, hi, sing,
-                                             rtol, max_evals)
-
-    def generator_terms(self, u, x, ux, gx, d):
-        def g(r, z, rho_r):
-            if rho_r == 0.0:
-                return 0.0
-            corr = float(np.dot(gx, z)) if r < 1.0 else 0.0
-            return (u(x + z) - ux - corr) * rho_r * r ** (d - 1)
-
-        for _, w, res in self._node_integrals(x, d, g, 0.0, math.inf, 1e-9,
-                                              200_000):
-            yield w * res.value
+            yield w * integrate_radial(integrand, lo, hi, sing, 1e-9,
+                                       200_000).value
 
 
 class _Isotropic(_DensityComponent):
@@ -213,15 +230,6 @@ class _Isotropic(_DensityComponent):
 
     odd_symmetric = True
     isotropic = True
-
-    def drift_tail(self, x, eps, d):
-        # isotropic densities integrate to zero by symmetry
-        return np.zeros(d), 0.0
-
-    def diffusion(self, x, d):
-        # off-diagonals vanish, diagonal = moment / d
-        res = self.second_moment(x, d)
-        return (res.value / d) * np.eye(d), res.error_bound
 
     def tail_sampler(self, d, eps):
         return _RadialSampler(self.tail_radius, d, eps)
@@ -292,6 +300,15 @@ class StableLikeSmall(_Isotropic):
             return _EMPTY_BAND
         cv, a = self._coeff(x, d)
         q = power - a
+        if lo == 0.0 and q <= 0.0:
+            raise DivergentIntegral(
+                f"stable-like moment of power {power} diverges at 0: "
+                f"alpha(x)={a} >= {power} at x={tuple(x)}"
+            )
+        if q == 0.0:
+            return QuadratureResult(
+                cv * surface_area(d) * math.log(hi / lo), 0.0, 1
+            )
         return QuadratureResult(
             cv * surface_area(d) * (hi**q - lo**q) / q, 0.0, 1
         )
@@ -334,10 +351,11 @@ class BigJumpPowerLaw(_Isotropic):
         if lo >= hi:
             return _EMPTY_BAND
         cv, b = self._coeff(x)
-        # beta1 > 0, so only the second moment can diverge
         if hi == math.inf and b <= power:
+            what = ("second moment" if power == 2
+                    else f"moment of power {power}")
             raise DivergentIntegral(
-                f"big-jump second moment diverges: beta1(x)={b} <= 2 "
+                f"big-jump {what} diverges: beta1(x)={b} <= {power} "
                 f"at x={tuple(x)}"
             )
         q = power - b
@@ -544,6 +562,8 @@ class ConeRestriction(_DensityComponent):
             )
         if not getattr(self.base, "isotropic", False):
             raise ValueError("cone restriction requires an isotropic base")
+        # the angular table of each dimension, computed on first use
+        object.__setattr__(self, "_tables", {})
 
     @property
     def odd_symmetric(self):
@@ -562,47 +582,26 @@ class ConeRestriction(_DensityComponent):
     def inside(self, z):
         return self.predicate(z)
 
-    def _angular_moment(self, x, power, lo, hi, d, total, weight, size):
-        """``total`` plus the sum, node by node, over sphere nodes ``theta``
-        of ``w weight(theta) int_lo^hi r^{d-1+power} rho(r) 1_A(r theta) dr``.
+    _radial = property(lambda self: self.base)
 
-        Exact along the radius (the indicator is evaluated at each
-        radial node); the returned ``(sum, error, evaluations)`` bound
-        includes the indicator edge's angular error, ``size(sum)`` times
-        the node spacing."""
-        r_lo, r_hi = self.support(d)
-        if max(lo, r_lo) >= min(hi, r_hi):
-            return total, 0.0, 1
-        n_nodes = len(sphere_nodes(d)[1])
-        p = d - 1 + power
-        error = 0.0
-        evals = 0
-        for theta, w, res in self._node_integrals(
-                x, d, lambda r, z, rho_r: rho_r * r**p, lo, hi, DEFAULT_RTOL,
-                max(2000, DEFAULT_MAX_EVALS // n_nodes)):
-            total += w * res.value * weight(theta)
-            error += w * res.error_bound
-            evals += res.evaluations
-        # angular resolution of the indicator edge (exact in d=1)
-        if d > 1:
-            error += size(total) * (2.0 / n_nodes)
-        return total, error, evals
+    def _angular_table(self, d):
+        table = self._tables.get(d)
+        if table is None:
+            pts, wts = sphere_nodes(d)
+            w = wts * np.array([bool(self.predicate(th)) for th in pts]) \
+                / surface_area(d)
+            # elementwise: a first BLAS call would raise the peak RSS
+            sums = (float(w.sum()), (w[:, None] * pts).sum(0),
+                    (w[:, None, None] * pts[:, :, None]
+                     * pts[:, None, :]).sum(0))
+            sizes = (sums[0], math.hypot(*sums[1]), float(np.trace(sums[2])))
+            # angular resolution of the indicator edge (exact in d=1)
+            table = self._tables[d] = (sums, sizes,
+                                       2.0 / len(wts) if d > 1 else 0.0)
+        return table
 
     def moment(self, x, power, lo, hi, d):
-        return QuadratureResult(*self._angular_moment(
-            x, power, lo, hi, d, 0.0, lambda th: 1.0, abs))
-
-    def drift_tail(self, x, eps, d):
-        vec, err, _ = self._angular_moment(
-            x, 1, eps, math.inf, d, np.zeros(d), lambda th: th,
-            lambda v: float(np.linalg.norm(v)))
-        return vec, err
-
-    def diffusion(self, x, d):
-        a, err, _ = self._angular_moment(
-            x, 2, 0.0, math.inf, d, np.zeros((d, d)),
-            lambda th: np.outer(th, th), lambda m: float(np.trace(m)))
-        return a, err
+        return self._product(x, power, lo, hi, d, 0)
 
     def tail_sampler(self, d, eps):
         return _ConeSampler(self, d, eps)

@@ -104,6 +104,17 @@ class TestStableLikeSmall:
         assert k.second_moment(X0).value == pytest.approx(3.0, rel=1e-8)
         assert k.second_moment((1.0,)).value == pytest.approx(2.5, rel=1e-8)
 
+    def test_logarithmic_band(self):
+        # alpha = 1, power 1: 2 int_0.1^1 r^{-1} dr = 2 log 10
+        res = stable().moment(X0, 1, 0.1, math.inf, 1)
+        assert res.value == pytest.approx(2.0 * math.log(10.0), rel=1e-15)
+
+    @pytest.mark.parametrize("power", [0, 1])
+    def test_divergent_band_at_origin(self, power):
+        # alpha = 1: int_0^0.5 r^{power-2} dr diverges for power <= 1
+        with pytest.raises(DivergentIntegral, match="power"):
+            stable().moment(X0, power, 0.0, 0.5, 1)
+
     def test_bass_normalized_scaling(self):
         comp = StableLikeSmall(ONE, coeffs.constant(1.0),
                                bass_normalized=True)
@@ -145,6 +156,15 @@ class TestBigJumpPowerLaw:
         # beta1 = 2: 2 int_1^1.5 r^{-1} dr = 2 log 1.5
         res = power(beta1=2.0).dropped_variance(X0, 1.5, 1)
         assert res.value == pytest.approx(2.0 * math.log(1.5), rel=1e-15)
+
+    @pytest.mark.parametrize("p, what", [(1, "moment of power 1"),
+                                         (2, "second moment")])
+    def test_divergence_names_its_power(self, p, what):
+        # the power-2 text is the one validation.txt prints
+        with pytest.raises(DivergentIntegral) as exc:
+            power(beta1=0.8).moment(X0, p, 1.0, math.inf, 1)
+        assert str(exc.value) == \
+            f"big-jump {what} diverges: beta1(x)=0.8 <= {p} at x=(0.0,)"
 
     def test_combined_diffusion(self):
         # closed form: stable (2) + power law (2) -> a = [[4]]
@@ -256,6 +276,35 @@ class TestConeRestriction:
         cone = ConeRestriction(stable(), FirstCoordinatePositive())
         res = cone.dropped_variance(X0, 0.1, 1)
         assert res.value == pytest.approx(0.1, abs=1e-8)
+
+    def test_one_sided_drift_stable_order_one(self):
+        # closed form: int_0.1^1 z z^{-2} dz = log 10
+        cone = ConeRestriction(stable(), FirstCoordinatePositive())
+        vec, err = cone.drift_tail(X0, 0.1, 1)
+        assert vec[0] == pytest.approx(math.log(10.0), rel=1e-15)
+        assert err == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("base", ["power", "stable"])
+    def test_closed_form_base_needs_no_quadrature(self, monkeypatch, base, d):
+        # a cone's moments are its base's times angular sums, so over a
+        # closed-form base they integrate nothing, which is what lets a
+        # state-dependent cone be simulated
+        def forbidden(*args, **kwargs):
+            raise AssertionError("radial quadrature")
+
+        monkeypatch.setattr("jumplab.kernels.integrate_radial", forbidden)
+        bump = _bump(1.0, 0.5)
+        comp = {"power": BigJumpPowerLaw(bump, coeffs.constant(3.0)),
+                "stable": StableLikeSmall(bump, _bump(0.8, 0.6))}[base]
+        x = (0.3, -0.4, 0.2)[:d]
+        for pred in (FirstAxisCone(), FirstCoordinatePositive()):
+            cone = ConeRestriction(comp, pred)
+            assert cone.second_moment(x, d).value > 0.0
+            assert cone.tail_mass(x, 0.1, d).value > 0.0
+            assert cone.dropped_variance(x, 0.1, d).value >= 0.0
+            assert np.all(np.isfinite(cone.drift_tail(x, 0.1, d)[0]))
+            assert np.trace(cone.diffusion(x, d)[0]) > 0.0
 
 
 class TestHuntDifference:
@@ -388,14 +437,10 @@ class TestShippedPredicates:
             assert pred(tuple(z)) is first_positive_numpy(z)
 
 
-def _hex(v):
-    return [float(c).hex() for c in np.ravel(v)]
-
-
 # The cone of the 2-d benchmark kernel (seed 1): 0.843 + 0.179 x1^2/(1 +
 # |x|^2) over |z|^{-5} on |z| >= 1, in the first-axis cone.  Recorded
-# with the per-node evaluation of the coefficients; binding them once per
-# state must reproduce every bit, error bound and evaluation count.
+# with one radial quadrature per sphere node, at rtol = 1e-8; float.hex
+# of value and error bound, and the evaluation count.
 PINNED_CONE = {
     (0.0, 0.0): {
         "second_moment": ("0x1.52fd8b96150ccp+1", "0x1.52fd90e44a4efp-4",
@@ -430,7 +475,21 @@ PINNED_CONE = {
 }
 
 
+# the per-node quadrature's radial tolerance, which the pins carry
+PIN_RTOL = 2e-8
+
+
+def _unhex(v):
+    return np.array([float.fromhex(c) for c in np.ravel(v)])
+
+
 class TestPinnedConeMoments:
+    """The product form against the per-node pins above: equal within
+    their radial tolerance, scaled for a vector by the first absolute
+    moment and for a matrix by the trace.  The circle's nodes put half
+    the weight in the first-axis cone, so its moments are half the
+    base's."""
+
     cone = ConeRestriction(
         BigJumpPowerLaw(
             coeffs.from_source("0.843 + 0.179*x[1]^2/(1 + |x|^2)",
@@ -441,13 +500,22 @@ class TestPinnedConeMoments:
     @pytest.mark.parametrize("x", list(PINNED_CONE))
     def test_bit_for_bit(self, x):
         want = PINNED_CONE[x]
-        for name, res in (("second_moment", self.cone.second_moment(x, 2)),
-                          ("tail_mass", self.cone.tail_mass(x, 0.1, 2))):
-            assert (res.value.hex(), res.error_bound.hex(),
-                    res.evaluations) == want[name]
-        for name, (v, err) in (("drift_tail", self.cone.drift_tail(x, 0.1, 2)),
-                               ("diffusion", self.cone.diffusion(x, 2))):
-            assert (_hex(v), float(err).hex()) == want[name]
+        base = self.cone.base
+        for name, res, half in (
+                ("second_moment", self.cone.second_moment(x, 2),
+                 base.second_moment(x, 2)),
+                ("tail_mass", self.cone.tail_mass(x, 0.1, 2),
+                 base.tail_mass(x, 0.1, 2))):
+            assert res.value == pytest.approx(float.fromhex(want[name][0]),
+                                              rel=PIN_RTOL)
+            assert res.value == pytest.approx(0.5 * half.value, rel=1e-15)
+        first = self.cone.moment(x, 1, 0.1, math.inf, 2).value
+        for name, (v, _), scale in (
+                ("drift_tail", self.cone.drift_tail(x, 0.1, 2), first),
+                ("diffusion", self.cone.diffusion(x, 2),
+                 self.cone.second_moment(x, 2).value)):
+            gap = np.max(np.abs(np.ravel(v) - _unhex(want[name][0])))
+            assert gap <= PIN_RTOL * scale
 
 
 def _bump(base, amplitude):
@@ -485,7 +553,8 @@ MOMENT_STATES = [(0.0, 0.0, 0.0), (0.5, -1.0, 0.25), (-2.0, 0.75, 1.5)]
 # every family above, as float.hex of the value and error bound and the
 # evaluation count, recorded when each family wrote out its own three
 # methods.  A cone's dropped variance is left out: it was the difference
-# of two integrals then.
+# of two integrals then.  A cone's pins are of one radial quadrature per
+# sphere node, so they hold to PIN_RTOL only.
 PINNED_MOMENTS = json.loads(
     (pathlib.Path(__file__).parent / "pinned_moments.json").read_text())
 
@@ -499,18 +568,39 @@ def _moment_calls(name, comp, x, d):
                    lambda e=eps: comp.dropped_variance(x, e, d))
 
 
+# The share of its base a cone holds where the sphere nodes give it
+# exactly: first_positive is half of the sphere in every d, first_axis
+# all of the line and half of the circle.  The 3-d first_axis cone is a
+# third of the sphere, but its nodes carry 0.3429 of the weight.
+CONE_SHARES = {("cone_positive", 1): 0.5, ("cone_positive", 2): 0.5,
+               ("cone_positive", 3): 0.5, ("cone_axis", 1): 1.0,
+               ("cone_axis", 2): 0.5}
+
+
 class TestPinnedMoments:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", list(moment_families(1)))
     def test_bit_for_bit(self, name, d):
         comp = moment_families(d)[name]
+        cone = name.startswith("cone")
         for s in MOMENT_STATES:
             x = s[:d]
+            bases = _moment_calls(name, comp.base, x, d) if cone else None
             for method, call in _moment_calls(name, comp, x, d):
                 res = call()
                 key = f"{name} d={d} x={list(x)} {method}"
-                assert [float(res.value).hex(), float(res.error_bound).hex(),
-                        res.evaluations] == PINNED_MOMENTS[key], key
+                want = PINNED_MOMENTS[key]
+                if not cone:
+                    assert [float(res.value).hex(),
+                            float(res.error_bound).hex(),
+                            res.evaluations] == want, key
+                    continue
+                assert res.value == pytest.approx(float.fromhex(want[0]),
+                                                  rel=PIN_RTOL), key
+                base = next(bases)[1]()
+                if (name, d) in CONE_SHARES:
+                    assert res.value == pytest.approx(
+                        CONE_SHARES[name, d] * base.value, rel=1e-15), key
 
 
 class TestBandAdditivity:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from jumplab import coeffs
+from jumplab.config import FirstAxisCone
 from jumplab.errors import EnvelopeViolation, JumpCapExceeded, RangeError
+from jumplab.estimators import predictable_integral
 from jumplab.kernels import (
     BigJumpPowerLaw,
     CompoundPoissonAtoms,
@@ -211,6 +213,33 @@ class TestCone:
         assert len(zs) > 0
         assert all(right_half_plane(z) for z in zs)
         assert np.all(np.linalg.norm(zs, axis=1) >= config.epsilon)
+
+    def test_state_dependent_cone_count_is_compensated(self):
+        # the kernel, grid and seed of the 2-d cone_validation_2d
+        # benchmark config (seed 1): every proposal asks the cone for its
+        # tail rate at a new state
+        k = KernelSpec(2, (
+            StableLikeSmall(coeffs.inverse_quadratic_bump(0.895, 0.592),
+                            coeffs.inverse_quadratic_bump(1.0, 0.5)),
+            ConeRestriction(BigJumpPowerLaw(
+                coeffs.from_source("0.843 + 0.179*x[1]^2/(1 + |x|^2)",
+                                   0.843, 1.022),
+                coeffs.constant(3.0)), FirstAxisCone(), symmetric=True),
+        ))
+        config = cfg(base_seed=1057690216)
+        grid = [(a, b) for a in (-2.0, 2.0) for b in (-2.0, 2.0)]
+        sim = ThinningSimulator(k, config, rate_grid=grid + [(0.0, 0.0)])
+        assert not sim.state_independent
+        paths = sim.ensemble((0.0, 0.0), 20).paths
+
+        # N_t - int_0^t rate(X_s) ds is a martingale whose variance is
+        # the mean of the integral
+        def rate(x):
+            return k.total_mass_tail(x, config.epsilon).value
+
+        integral = sum(predictable_integral(p, rate, 1.0) for p in paths)
+        count = sum(p.n_jumps for p in paths)
+        assert abs(count - integral) <= 4.0 * math.sqrt(integral)
 
 
 class TestDominatingRate:
