@@ -175,9 +175,8 @@ def _an_lil(cfg, ens, spec, dirs, files):
     ell = validators.check_ellipticity(cfg.kernel, cfg.grid)
     lam = ell.evidence.get("lambda_hat", 0.0)
     Lam = ell.evidence.get("Lambda_hat", 0.0)
-    tail_lb = spec.params["tail_lower_bound"]
     rep = estimators.lil_statistics(
-        ens, direction, checkpoints, lam, Lam, tail_lb, kernel=cfg.kernel,
+        ens, direction, checkpoints, lam, Lam, kernel=cfg.kernel,
     )
     band = spec.params["band"]
     if band is None:

@@ -116,6 +116,43 @@ def _fail(section, msg):
     raise ConfigError(f"[{section}] {msg}")
 
 
+class _Parser(configparser.ConfigParser):
+    """A config parser that records the keys asked for, so that a key
+    nothing reads is reported instead of ignored."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#",))
+        self.asked = {}  # section -> the keys asked for there
+
+    def get(self, section, option, **kwargs):
+        # getint, getfloat and getboolean read through here too
+        self.asked.setdefault(section, set()).add(self.optionxform(option))
+        return super().get(section, option, **kwargs)
+
+    def check_unread(self):
+        """Fail on a key that nothing asked for, in a section that
+        something read."""
+        for section in self.sections():
+            asked = self.asked.get(section)
+            for key in self.options(section) if asked else ():
+                if key not in asked:
+                    _fail(section, f"unknown key {key!r}; this section "
+                                   f"reads {sorted(asked)}")
+
+
+_KINDS = {"int": "an integer", "float": "numeric", "boolean": "a boolean"}
+
+
+def _typed(parser, section, key, kind, fallback=None):
+    """``parser.get<kind>`` of ``key``, or ``fallback`` when it is absent;
+    a value that does not parse fails naming its section and key."""
+    try:
+        return getattr(parser, f"get{kind}")(section, key, fallback=fallback)
+    except ValueError:
+        _fail(section, f"{key} = {parser.get(section, key)!r} is not "
+                       f"{_KINDS[kind]}")
+
+
 # radial coefficients (alpha_r) are functions of r = |z| alone; without
 # declared bounds, their observed bounds are taken over these radii
 _RADII = [(r,) for r in np.geomspace(1e-4, 1e4, 201)]
@@ -124,9 +161,10 @@ _RADII = [(r,) for r in np.geomspace(1e-4, 1e4, 201)]
 def _coeff(parser, section, key, d, points):
     """Coefficient ``key`` with its declared ``*_bounds``, or else the
     bounds observed at ``points``."""
-    if not parser.has_option(section, key):
+    raw = parser.get(section, key, fallback=None)
+    if raw is None:
         _fail(section, f"missing coefficient {key!r}")
-    raw = parser.get(section, key).strip().strip('"')
+    raw = raw.strip().strip('"')
     try:
         expr = exprlang.parse(raw)
     except (ExprSyntaxError, UnknownIdentifier) as exc:
@@ -135,8 +173,9 @@ def _coeff(parser, section, key, d, points):
         _fail(section, f"{key} references x[{expr.max_coord() + 1}] "
                        f"but d={d}")
     bkey = f"{key}_bounds"
-    if parser.has_option(section, bkey):
-        lo, hi = _floats(parser.get(section, bkey), 2, section, bkey)
+    bounds = parser.get(section, bkey, fallback=None)
+    if bounds is not None:
+        lo, hi = _floats(bounds, 2, section, bkey)
     else:
         vals = [exprlang.evaluate(expr, p) for p in points]
         lo, hi = min(vals), max(vals)
@@ -153,14 +192,14 @@ def _floats(raw, n, section, key):
         _fail(section, f"{key} = {raw!r} is not numeric")
 
 
-def _analysis_params(name, raw, d, t_end):
-    """The parameters of analysis ``name`` from the text ``raw`` of its
-    section: a typo or an impossible value fails here, before anything
-    is validated, simulated or written."""
+def _analysis_params(parser, name, d, t_end):
+    """The parameters of analysis ``name`` from its section: a typo or
+    an impossible value fails here, before anything is validated,
+    simulated or written."""
     section = f"analysis.{name}"
 
     def numbers(key, default, n=None):
-        text = raw.get(key)
+        text = parser.get(section, key, fallback=None)
         return default if text is None else _floats(text, n, section, key)
 
     def number(key, default):
@@ -176,7 +215,6 @@ def _analysis_params(name, raw, d, t_end):
         return {
             "t_start": t_start,
             "direction": direction,
-            "tail_lower_bound": number("tail_lower_bound", 0.0),
             "band": numbers("band", None, 2),
             "coverage": number("coverage", 0.9),
         }
@@ -188,7 +226,8 @@ def _analysis_params(name, raw, d, t_end):
     if name == "moment_identity":
         params["rtol"] = number("rtol", 0.05)
     if name == "generator":
-        fname = raw.get("function", "square_first").strip()
+        fname = parser.get(section, "function",
+                           fallback="square_first").strip()
         if fname not in TEST_FUNCTIONS:
             _fail(section, f"unknown function {fname!r}; "
                            f"choose from {sorted(TEST_FUNCTIONS)}")
@@ -205,9 +244,8 @@ def _component(parser, section, d, grid_points):
         return StableLikeSmall(
             _coeff(parser, section, "c", d, grid_points),
             _coeff(parser, section, "alpha", d, grid_points),
-            bass_normalized=parser.getboolean(
-                section, "bass_normalized", fallback=False
-            ),
+            bass_normalized=_typed(parser, section, "bass_normalized",
+                                   "boolean", False),
         )
     if family == "big_jump_power_law":
         return BigJumpPowerLaw(
@@ -215,7 +253,7 @@ def _component(parser, section, d, grid_points):
             _coeff(parser, section, "beta1", d, grid_points),
         )
     if family == "big_jump_stretched_exp":
-        lam = parser.getfloat(section, "lambda", fallback=None)
+        lam = _typed(parser, section, "lambda", "float")
         if lam is None:
             _fail(section, "missing lambda")
         return BigJumpStretchedExp(
@@ -277,7 +315,7 @@ def _component(parser, section, d, grid_points):
 
 def load_config(path):
     """Parse and cross-validate an experiment config file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = _Parser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -289,12 +327,14 @@ def load_config(path):
 
     if not parser.has_section("kernel"):
         raise ConfigError("missing [kernel] section")
-    d = parser.getint("kernel", "dimension", fallback=0)
+    d = _typed(parser, "kernel", "dimension", "int", 0)
     if d not in (1, 2, 3):
         _fail("kernel", f"dimension must be 1, 2 or 3, got {d}")
 
-    grid = default_grid(d, parser.getfloat("grid", "extent", fallback=None),
-                        parser.getint("grid", "points", fallback=None))
+    points = _typed(parser, "grid", "points", "int")
+    if points is not None and points <= 0:
+        _fail("grid", f"points must be positive, got {points}")
+    grid = default_grid(d, _typed(parser, "grid", "extent", "float"), points)
     raw = parser.get("kernel", "components", fallback=None)
     if raw is None:
         _fail("kernel", "missing components list")
@@ -312,9 +352,9 @@ def load_config(path):
 
     if not parser.has_section("sim"):
         raise ConfigError("missing [sim] section")
-    if not parser.has_option("sim", "base_seed"):
+    if parser.get("sim", "base_seed", fallback=None) is None:
         _fail("sim", "base_seed must be explicit")
-    n_paths = parser.getint("sim", "n_paths", fallback=0)
+    n_paths = _typed(parser, "sim", "n_paths", "int", 0)
     if n_paths <= 0:
         _fail("sim", f"n_paths must be positive, got {n_paths}")
     x0 = _floats(parser.get("sim", "x0", fallback="0"), None, "sim", "x0")
@@ -345,11 +385,14 @@ def load_config(path):
         if name not in ("martingale", "moment_identity", "qv", "generator",
                         "lil"):
             _fail(section, f"unknown analysis {name!r}")
-        raw = dict(parser.items(section))
+        # one path has no standard error, so every z-score would be 0
+        if n_paths < 2:
+            _fail(section, f"needs n_paths >= 2, got {n_paths}")
         analyses.append(AnalysisSpec(
-            name, _analysis_params(name, raw, d, sim.t_end)))
+            name, _analysis_params(parser, name, d, sim.t_end)))
 
-    write_paths = parser.getboolean("output", "write_paths", fallback=True)
+    write_paths = _typed(parser, "output", "write_paths", "boolean", True)
+    parser.check_unread()
 
     return ExperimentConfig(
         kernel=kernel,

@@ -211,7 +211,6 @@ class LILReport:
     running_max_radial: np.ndarray
     lambda_hat: float
     Lambda_hat: float
-    tail_lower_bound: float
     degenerate: bool = False
 
     @property
@@ -350,7 +349,7 @@ def generator_martingale_test(ensemble, kernel, u, t):
 
 
 def lil_statistics(ensemble, direction, checkpoints, lambda_hat, Lambda_hat,
-                   tail_lower_bound=0.0, kernel=None):
+                   kernel=None):
     """Directional and radial iterated-logarithm statistics.
 
     ``W_t = <X_t, r> / sqrt(2 <X^r>_t loglog <X^r>_t)`` and
@@ -395,6 +394,5 @@ def lil_statistics(ensemble, direction, checkpoints, lambda_hat, Lambda_hat,
     run_R = np.maximum.accumulate(R, axis=1)[:, -1]
     return LILReport(
         checkpoints, direction, W, R, run_W, run_R,
-        lambda_hat, Lambda_hat, tail_lower_bound,
-        degenerate=degenerate,
+        lambda_hat, Lambda_hat, degenerate=degenerate,
     )

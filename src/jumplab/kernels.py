@@ -5,9 +5,11 @@ structure: small-jump stable-like power laws on ``0 < |z| < 1``,
 big-jump power laws or stretched exponentials on ``|z| >= 1``, finite
 atomic measures, cone restrictions of an isotropic base, and
 Hunt-difference kernels ``J(x, x+z)``.  Power-law and atomic moments
-are evaluated in closed form, the others by radial quadrature.  A
-cone's moments are its base's times a table of angular sums over the
-sphere nodes; only the generator integrates node by node.
+are evaluated in closed form, the others by radial quadrature.  Every
+moment, the drift and the diffusion matrix included, is one banded
+moment of some power and angular order; a density component's is its
+radial moment times a table of angular sums over the sphere nodes, and
+only the generator integrates node by node.
 """
 
 from __future__ import annotations
@@ -105,37 +107,40 @@ def _uniform_direction(rng, d, n=None):
 #                                   are its base's)
 #   odd_symmetric / isotropic / atomic flags
 #   density(x, z, d)             -- atoms raise
-#   moment(x, power, lo, hi, d)  -- the QuadratureResult of
-#                                   int_{lo <= |z| < hi} |z|^power N(x, dz)
-#                                   for power 0, 1 or 2; an empty band gives
-#                                   QuadratureResult(0.0, 0.0, 1)
+#   moment(x, power, lo, hi, d, order=0)
+#                                -- the QuadratureResult of
+#                                   int_{lo <= |z| < hi} |z|^power
+#                                   theta^{(x) order} N(x, dz), theta =
+#                                   z/|z|: a scalar, d-vector or d x d
+#                                   matrix for order 0, 1 or 2; an empty
+#                                   band is zero with no error
 #   second_moment(x, d), tail_mass(x, eps, d), dropped_variance(x, eps, d)
 #                                -- the bands [0, inf), [eps, inf) and
-#                                   [0, eps) of moment, defined once in
-#                                   _BandedMoments
-#   drift_tail(x, eps, d)        -- (int_{|z|>=eps} z N(x, dz), error bound)
-#   diffusion(x, d)              -- (int z z^T N(x, dz), error bound)
+#                                   [0, eps) of moment at order 0, defined
+#                                   once in _BandedMoments
 #   tail_sampler(d, eps)         -- draw(rng, x) and draw_many(rng, x, n)
 #   generator_terms(u, x, ux, gx, d) -- yields its terms of Lu(x), where
 #                                      ux = u(x) and gx = grad u(x)
 #
 # A component with a density rho(|z|) 1_A(z), A closed under scaling,
-# describes it by three things, from which _DensityComponent builds its
-# density, and its generator terms in one loop over the sphere nodes:
+# describes it by four things, from which _DensityComponent builds its
+# density, its moments, and its generator terms in one loop over the
+# sphere nodes:
 #   support(d)                   -- (r_lo, r_hi): the density vanishes for
 #                                   |z| outside [r_lo, r_hi)
 #   radial_profile(x, d)         -- the density as a function r -> rho(r)
 #                                   of |z|, with the coefficients at x
 #                                   evaluated once
+#   radial_moment(x, power, lo, hi, d)
+#                                -- the order-0 moment of rho(|z|) over
+#                                   the whole sphere (a cone's base's)
 #   inside(z)                    -- whether z lies in A: a cone's
 #                                   predicate, always true for the
 #                                   isotropic families
-# Its drift_tail and diffusion, and a cone's moment, are the moment of
-# _radial (the family itself, or a cone's base) at power 1, 2 or any,
-# times m1, m2 or m0 of _angular_table(d) = ((m0, m1, m2), sizes, edge):
-# the sums over the sphere nodes of w 1_A(theta) {1, theta, theta theta^T}
-# / |S|, their sizes (|m0|, |m1|, trace m2), and the relative error of
-# the indicator edge.
+# Its moment of order k is radial_moment times m_k of _angular_table(d) =
+# ((m0, m1, m2), sizes, edge): the sums over the sphere nodes of
+# w 1_A(theta) {1, theta, theta theta^T} / |S|, their sizes (|m0|, |m1|,
+# trace m2), and the relative error of the indicator edge.
 
 
 _EMPTY_BAND = QuadratureResult(0.0, 0.0, 1)
@@ -165,8 +170,6 @@ class _DensityComponent(_BandedMoments):
 
     atomic = False
 
-    _radial = property(lambda self: self)
-
     def _angular_table(self, d):
         return _isotropic_table(d)
 
@@ -182,24 +185,20 @@ class _DensityComponent(_BandedMoments):
             return 0.0
         return self.radial_profile(x, d)(r)
 
-    def _product(self, x, power, lo, hi, d, k):
+    def moment(self, x, power, lo, hi, d, order=0):
         """The radial moment of ``power`` over ``[lo, hi)`` times the
-        angular sum ``m_k``; the radial and the indicator edge's errors
-        scale with the size of ``m_k``."""
-        res = self._radial.moment(x, power, lo, hi, d)
+        angular sum ``m_order``; the radial and the indicator edge's
+        errors scale with the size of ``m_order``."""
+        res = self.radial_moment(x, power, lo, hi, d)
+        # the whole sphere has m0 = 1 exactly: thinning asks for a tail
+        # mass at every proposal
+        if self.isotropic and not order:
+            return res
         sums, sizes, edge = self._angular_table(d)
         return QuadratureResult(
-            res.value * sums[k],
-            (res.error_bound + edge * abs(res.value)) * sizes[k],
+            res.value * sums[order],
+            (res.error_bound + edge * abs(res.value)) * sizes[order],
             res.evaluations)
-
-    def drift_tail(self, x, eps, d):
-        res = self._product(x, 1, eps, math.inf, d, 1)
-        return res.value, res.error_bound
-
-    def diffusion(self, x, d):
-        res = self._product(x, 2, 0.0, math.inf, d, 2)
-        return res.value, res.error_bound
 
     def generator_terms(self, u, x, ux, gx, d):
         lo, hi = self.support(d)
@@ -224,7 +223,7 @@ class _DensityComponent(_BandedMoments):
 
 class _Isotropic(_DensityComponent):
     """What the isotropic families share.  Each family supplies
-    ``support``, ``radial_profile``, ``moment``, and the inverse CDF
+    ``support``, ``radial_profile``, ``radial_moment``, and the inverse CDF
     ``tail_radius(u, x, eps)`` of its tail radius or a sampler of its
     own."""
 
@@ -291,7 +290,7 @@ class StableLikeSmall(_Isotropic):
         p = -d - a
         return lambda r: cv * r**p if 0.0 < r < 1.0 else 0.0
 
-    def moment(self, x, power, lo, hi, d):
+    def radial_moment(self, x, power, lo, hi, d):
         # the band is clipped by comparisons: thinning asks for a tail
         # mass at every proposal
         if hi > 1.0:
@@ -345,7 +344,7 @@ class BigJumpPowerLaw(_Isotropic):
         p = -d - b
         return lambda r: 0.0 if r < 1.0 else cv * r**p
 
-    def moment(self, x, power, lo, hi, d):
+    def radial_moment(self, x, power, lo, hi, d):
         if lo < 1.0:
             lo = 1.0
         if lo >= hi:
@@ -400,7 +399,7 @@ class BigJumpStretchedExp(_Isotropic):
         neg_lam = -self.lam
         return lambda r: 0.0 if r < 1.0 else cv * math.exp(neg_lam * r**b)
 
-    def moment(self, x, power, lo, hi, d):
+    def radial_moment(self, x, power, lo, hi, d):
         if lo < 1.0:
             lo = 1.0
         if lo >= hi:
@@ -461,15 +460,21 @@ class CompoundPoissonAtoms(_BandedMoments):
     coefficients = ()
 
     def __post_init__(self):
-        norm = []
+        norm, tensors = [], []
         for w, z in self.atoms:
-            zv = np.asarray(z, dtype=float)
+            zv = np.array(z, dtype=float)
             if w < 0:
                 raise ValueError(f"atom weight {w} must be >= 0")
             if not np.any(zv):
                 raise ValueError("atoms must exclude the origin")
             norm.append((float(w), tuple(zv)))
+            # what moment needs of each atom: w, |z|^2, |z| (which is
+            # np.linalg.norm(z), as the sampler tests) and z^{(x) order}
+            r2 = float(np.dot(zv, zv))
+            tensors.append((float(w), r2, math.sqrt(r2),
+                            (1.0, zv, np.outer(zv, zv))))
         object.__setattr__(self, "atoms", tuple(norm))
+        object.__setattr__(self, "_tensors", tuple(tensors))
 
     @property
     def odd_symmetric(self):
@@ -484,28 +489,12 @@ class CompoundPoissonAtoms(_BandedMoments):
     def density(self, x, z, d):
         raise AtomicKernelError("atomic components have no density")
 
-    def moment(self, x, power, lo, hi, d):
-        value = 0.0
-        for w, z in self.atoms:
-            r2 = float(np.dot(z, z))
-            # sqrt of the dot is np.linalg.norm(z), as the sampler tests
-            if lo <= math.sqrt(r2) < hi:
-                value += w * r2 ** (power / 2)
+    def moment(self, x, power, lo, hi, d, order=0):
+        value = np.zeros((d,) * order) if order else 0.0
+        for w, r2, r, zk in self._tensors:
+            if lo <= r < hi:
+                value += w * r2 ** ((power - order) / 2) * zk[order]
         return QuadratureResult(value, 0.0, 1)
-
-    def drift_tail(self, x, eps, d):
-        total = np.zeros(d)
-        for w, z in self.atoms:
-            if np.linalg.norm(z) >= eps:
-                total += w * np.asarray(z)
-        return total, 0.0
-
-    def diffusion(self, x, d):
-        a = np.zeros((d, d))
-        for w, z in self.atoms:
-            zv = np.asarray(z)
-            a += w * np.outer(zv, zv)
-        return a, 0.0
 
     def tail_sampler(self, d, eps):
         return _AtomSampler(self.atoms, eps)
@@ -582,7 +571,8 @@ class ConeRestriction(_DensityComponent):
     def inside(self, z):
         return self.predicate(z)
 
-    _radial = property(lambda self: self.base)
+    def radial_moment(self, x, power, lo, hi, d):
+        return self.base.radial_moment(x, power, lo, hi, d)
 
     def _angular_table(self, d):
         table = self._tables.get(d)
@@ -599,9 +589,6 @@ class ConeRestriction(_DensityComponent):
             table = self._tables[d] = (sums, sizes,
                                        2.0 / len(wts) if d > 1 else 0.0)
         return table
-
-    def moment(self, x, power, lo, hi, d):
-        return self._product(x, power, lo, hi, d, 0)
 
     def tail_sampler(self, d, eps):
         return _ConeSampler(self, d, eps)
@@ -654,7 +641,7 @@ class HuntDifference(_Isotropic):
         alpha_r = self.alpha_r
         return lambda r: 0.0 if r <= 0.0 else cv * r ** (-d - alpha_r((r,)))
 
-    def moment(self, x, power, lo, hi, d):
+    def radial_moment(self, x, power, lo, hi, d):
         cv = self.c(x)
         # near 0 the integrand behaves like r^{power-1-alpha(0+)}
         sing = power - 1.0 - self.alpha_r((1e-12,)) if lo == 0.0 else 0.0
@@ -771,6 +758,17 @@ class KernelSpec:
         """``int |z|^2 N(x, dz)`` with an error bound."""
         return self._sum("second_moment", x)
 
+    def _tensor(self, components, x, power, lo, order):
+        """The sum over ``components`` of a vector or matrix moment on
+        ``[lo, inf)``, as ``(value, error_bound)``."""
+        value = np.zeros((self.d,) * order)
+        err = 0.0
+        for c in components:
+            res = c.moment(x, power, lo, math.inf, self.d, order)
+            value += res.value
+            err += res.error_bound
+        return value, err
+
     def drift_tail(self, x, eps):
         """``int_{|z| >= eps} z N(x, dz)`` as ``(vector, error_bound)``.
 
@@ -778,23 +776,12 @@ class KernelSpec:
         """
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        vec = np.zeros(self.d)
-        err = 0.0
-        for c in self.components:
-            if not c.odd_symmetric:
-                v, e = c.drift_tail(x, eps, self.d)
-                vec += v
-                err += e
-        return vec, err
+        return self._tensor([c for c in self.components
+                             if not c.odd_symmetric], x, 1, eps, 1)
 
     def diffusion_matrix(self, x):
         """``a_ij(x) = int z_i z_j N(x, dz)`` with a quadrature error."""
-        a = np.zeros((self.d, self.d))
-        err = 0.0
-        for c in self.components:
-            m, e = c.diffusion(x, self.d)
-            a += m
-            err += e
+        a, err = self._tensor(self.components, x, 2, 0.0, 2)
         a = 0.5 * (a + a.T)
         x_t = tuple(float(v) for v in np.atleast_1d(x))
         return DiffusionMatrix(x_t, a, err)

@@ -341,6 +341,76 @@ class TestCliExitCodes:
         assert (f"config error: [analysis.{section}] t = 2.0 lies outside "
                 "[0, t_end = 1.0]") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("dimension = 1", "dimension = one",
+         "[kernel] dimension = 'one' is not an integer"),
+        ("n_paths = 2000", "n_paths = many",
+         "[sim] n_paths = 'many' is not an integer"),
+        ("[sim]", "[grid]\npoints = 0\n\n[sim]",
+         "[grid] points must be positive, got 0"),
+        ("[sim]", "[grid]\npoints = -3\n\n[sim]",
+         "[grid] points must be positive, got -3"),
+        ("[sim]", "[grid]\nextent = wide\n\n[sim]",
+         "[grid] extent = 'wide' is not numeric"),
+        ("write_paths = false", "write_paths = maybe",
+         "[output] write_paths = 'maybe' is not a boolean"),
+        ("alpha = 1.0", "alpha = 1.0\nbass_normalized = perhaps",
+         "[component.small] bass_normalized = 'perhaps' is not a boolean"),
+        ("family = stable_like_small\nc = 1.0\nalpha = 1.0",
+         "family = big_jump_stretched_exp\nc0 = 1.0\nlambda = steep\n"
+         "beta2 = 1.0",
+         "[component.small] lambda = 'steep' is not numeric"),
+    ], ids=["dimension", "n_paths", "points_zero", "points_negative",
+            "extent", "write_paths", "bass_normalized", "lambda"])
+    def test_malformed_value(self, tmp_path, capsys, old, new, message):
+        shipped = (CONFIGS / "stable_like_d1.cfg").read_text()
+        text = shipped.replace(old, new, 1)
+        assert text != shipped
+        p = write(tmp_path, text)
+        assert main(["validate", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, old, new, message", [
+        ("stable_like_d1", "rtol = 0.05", "rtl = 0.0001",
+         "[analysis.moment_identity] unknown key 'rtl'; this section "
+         "reads ['rtol', 't']"),
+        ("stable_like_d1", "x0 = 0.0", "xo = 0.0",
+         "[sim] unknown key 'xo'"),
+        ("stable_like_d1", "alpha = 1.0", "alpha = 1.0\nbass_normalised = 1",
+         "[component.small] unknown key 'bass_normalised'"),
+        ("stable_like_d1", "alpha = 1.0", "alpha = 1.0\nlambda = 2.0",
+         "[component.small] unknown key 'lambda'"),
+        ("lil_compound_poisson", "coverage = 0.9", "covrage = 0.99",
+         "[analysis.lil] unknown key 'covrage'"),
+        ("lil_compound_poisson", "coverage = 0.9",
+         "coverage = 0.9\ntail_lower_bound = 0.5",
+         "[analysis.lil] unknown key 'tail_lower_bound'"),
+    ], ids=["rtol", "x0", "bass_normalized", "lambda", "coverage",
+            "tail_lower_bound"])
+    def test_unread_key(self, tmp_path, capsys, config, old, new, message):
+        # a mistyped key would otherwise fall back to its default silently
+        shipped = (CONFIGS / f"{config}.cfg").read_text()
+        text = shipped.replace(old, new, 1)
+        assert text != shipped
+        p = write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["analyze", str(p), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(out.rglob("*.*"))
+
+    @pytest.mark.parametrize("config, n_paths", [
+        ("stable_like_d1", "n_paths = 2000"),
+        ("compound_poisson_d1", "n_paths = 500"),
+    ], ids=["stable_like", "compound_poisson"])
+    def test_analysis_of_one_path(self, tmp_path, capsys, config, n_paths):
+        # one path has no standard error: every z-score would read 0
+        text = (CONFIGS / f"{config}.cfg").read_text().replace(
+            n_paths, "n_paths = 1")
+        p = write(tmp_path, text)
+        assert main(["analyze", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: [analysis.martingale] needs n_paths >= 2, "
+                "got 1") in capsys.readouterr().err
+
 
 class TestOutputLayout:
     def test_directories_and_manifest(self, tmp_path):

@@ -223,10 +223,10 @@ class TestCompoundPoissonAtoms:
     def test_one_sided_drift(self):
         asym = CompoundPoissonAtoms(((1.0, (0.5,)),))
         # atom inside |z| < 1; drift over |z| >= eps with eps=0.1
-        assert asym.drift_tail(X0, 0.1, 1)[0] == (0.5,)
+        assert asym.moment(X0, 1, 0.1, math.inf, 1, 1).value == (0.5,)
 
     def test_diffusion_exact(self):
-        a = np.asarray(self.comp.diffusion(X0, 1)[0])
+        a = np.asarray(self.comp.moment(X0, 2, 0.0, math.inf, 1, 2).value)
         assert a[0, 0] == 0.5
 
     def test_scaling_quadruples_second_moment(self):
@@ -280,7 +280,8 @@ class TestConeRestriction:
     def test_one_sided_drift_stable_order_one(self):
         # closed form: int_0.1^1 z z^{-2} dz = log 10
         cone = ConeRestriction(stable(), FirstCoordinatePositive())
-        vec, err = cone.drift_tail(X0, 0.1, 1)
+        res = cone.moment(X0, 1, 0.1, math.inf, 1, 1)
+        vec, err = res.value, res.error_bound
         assert vec[0] == pytest.approx(math.log(10.0), rel=1e-15)
         assert err == 0.0
 
@@ -303,8 +304,10 @@ class TestConeRestriction:
             assert cone.second_moment(x, d).value > 0.0
             assert cone.tail_mass(x, 0.1, d).value > 0.0
             assert cone.dropped_variance(x, 0.1, d).value >= 0.0
-            assert np.all(np.isfinite(cone.drift_tail(x, 0.1, d)[0]))
-            assert np.trace(cone.diffusion(x, d)[0]) > 0.0
+            assert np.all(np.isfinite(
+                cone.moment(x, 1, 0.1, math.inf, d, 1).value))
+            assert np.trace(cone.moment(x, 2, 0.0, math.inf, d, 2).value) \
+                > 0.0
 
 
 class TestHuntDifference:
@@ -510,10 +513,11 @@ class TestPinnedConeMoments:
                                               rel=PIN_RTOL)
             assert res.value == pytest.approx(0.5 * half.value, rel=1e-15)
         first = self.cone.moment(x, 1, 0.1, math.inf, 2).value
-        for name, (v, _), scale in (
-                ("drift_tail", self.cone.drift_tail(x, 0.1, 2), first),
-                ("diffusion", self.cone.diffusion(x, 2),
-                 self.cone.second_moment(x, 2).value)):
+        for name, v, scale in (
+                ("drift_tail", self.cone.moment(x, 1, 0.1, math.inf, 2, 1)
+                 .value, first),
+                ("diffusion", self.cone.moment(x, 2, 0.0, math.inf, 2, 2)
+                 .value, self.cone.second_moment(x, 2).value)):
             gap = np.max(np.abs(np.ravel(v) - _unhex(want[name][0])))
             assert gap <= PIN_RTOL * scale
 
@@ -603,6 +607,28 @@ class TestPinnedMoments:
                         CONE_SHARES[name, d] * base.value, rel=1e-15), key
 
 
+# KernelSpec.drift_tail at eps = 0.05 and 0.5 and diffusion_matrix of
+# every family above, as float.hex of each entry and of the error bound,
+# recorded when each component still had its own drift_tail and
+# diffusion methods.  Odd-symmetric families give an exact zero drift.
+class TestPinnedDriftDiffusion:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(moment_families(1)))
+    def test_bit_for_bit(self, name, d):
+        k = KernelSpec(d, (moment_families(d)[name],))
+        for s in MOMENT_STATES:
+            x = s[:d]
+            key = f"{name} d={d} x={list(x)}"
+            for eps in (0.05, 0.5):
+                vec, err = k.drift_tail(x, eps)
+                assert [[float(v).hex() for v in vec], float(err).hex()] \
+                    == PINNED_MOMENTS[f"{key} drift_tail {eps}"], key
+            dm = k.diffusion_matrix(x)
+            assert [[float(v).hex() for v in np.ravel(dm.a)],
+                    float(dm.quadrature_error).hex()] \
+                == PINNED_MOMENTS[f"{key} diffusion_matrix"], key
+
+
 class TestBandAdditivity:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("name", list(moment_families(1)))
@@ -617,3 +643,18 @@ class TestBandAdditivity:
             slack = (below.error_bound + above.error_bound
                      + full.error_bound + 1e-15 * full.value)
             assert abs(below.value + above.value - full.value) <= slack
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(moment_families(1)))
+    def test_bands_sum_to_diffusion_matrix(self, name, d):
+        comp = moment_families(d)[name]
+        x = MOMENT_STATES[1][:d]
+        full = comp.moment(x, 2, 0.0, math.inf, d, 2)
+        for eps in (0.5, 1.5):
+            below = comp.moment(x, 2, 0.0, eps, d, 2)
+            above = comp.moment(x, 2, eps, math.inf, d, 2)
+            # closed forms have no error bound: allow their rounding
+            slack = (below.error_bound + above.error_bound
+                     + full.error_bound + 1e-15 * np.trace(full.value))
+            gap = np.abs(below.value + above.value - full.value)
+            assert np.max(gap) <= slack
