@@ -171,13 +171,8 @@ def _an_lil(cfg, ens, spec, dirs, files):
         checkpoints.append(t)
         t *= 2.0
     checkpoints.append(t_end)
-    direction = spec.params["direction"]
-    ell = validators.check_ellipticity(cfg.kernel, cfg.grid)
-    lam = ell.evidence.get("lambda_hat", 0.0)
-    Lam = ell.evidence.get("Lambda_hat", 0.0)
-    rep = estimators.lil_statistics(
-        ens, direction, checkpoints, lam, Lam, kernel=cfg.kernel,
-    )
+    rep = estimators.lil_statistics(ens, spec.params["direction"],
+                                    checkpoints, cfg.kernel)
     band = spec.params["band"]
     if band is None:
         cal = _calibrated_band()
@@ -199,8 +194,7 @@ def _an_lil(cfg, ens, spec, dirs, files):
         fig.line(rep.checkpoints, runW[k], color="#1f77b4")
     fig.hline(band_lo, label=f"band lo = {band_lo:.3f}", color="#d62728")
     fig.hline(band_hi, label=f"band hi = {band_hi:.3f}", color="#d62728")
-    sq_lo, sq_hi = rep.band
-    if sq_lo > 0:
+    if not rep.degenerate:
         fig.hline(1.0, label="LIL limit", color="#2ca02c")
     pth = dirs["plots"] / "lil.svg"
     fig.save(pth)

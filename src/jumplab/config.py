@@ -141,11 +141,15 @@ class _Parser(configparser.ConfigParser):
 
 
 _KINDS = {"int": "an integer", "float": "numeric", "boolean": "a boolean"}
+_REQUIRED = object()
 
 
-def _typed(parser, section, key, kind, fallback=None):
+def _typed(parser, section, key, kind, fallback=_REQUIRED):
     """``parser.get<kind>`` of ``key``, or ``fallback`` when it is absent;
-    a value that does not parse fails naming its section and key."""
+    a missing key without a fallback, or a value that does not parse,
+    fails naming its section and key."""
+    if fallback is _REQUIRED and not parser.has_option(section, key):
+        _fail(section, f"missing {key}")
     try:
         return getattr(parser, f"get{kind}")(section, key, fallback=fallback)
     except ValueError:
@@ -253,12 +257,9 @@ def _component(parser, section, d, grid_points):
             _coeff(parser, section, "beta1", d, grid_points),
         )
     if family == "big_jump_stretched_exp":
-        lam = _typed(parser, section, "lambda", "float")
-        if lam is None:
-            _fail(section, "missing lambda")
         return BigJumpStretchedExp(
             _coeff(parser, section, "c0", d, grid_points),
-            lam,
+            _typed(parser, section, "lambda", "float"),
             _coeff(parser, section, "beta2", d, grid_points),
         )
     if family == "compound_poisson_atoms":
@@ -331,10 +332,11 @@ def load_config(path):
     if d not in (1, 2, 3):
         _fail("kernel", f"dimension must be 1, 2 or 3, got {d}")
 
-    points = _typed(parser, "grid", "points", "int")
+    points = _typed(parser, "grid", "points", "int", None)
     if points is not None and points <= 0:
         _fail("grid", f"points must be positive, got {points}")
-    grid = default_grid(d, _typed(parser, "grid", "extent", "float"), points)
+    grid = default_grid(d, _typed(parser, "grid", "extent", "float", None),
+                        points)
     raw = parser.get("kernel", "components", fallback=None)
     if raw is None:
         _fail("kernel", "missing components list")
@@ -352,8 +354,6 @@ def load_config(path):
 
     if not parser.has_section("sim"):
         raise ConfigError("missing [sim] section")
-    if parser.get("sim", "base_seed", fallback=None) is None:
-        _fail("sim", "base_seed must be explicit")
     n_paths = _typed(parser, "sim", "n_paths", "int", 0)
     if n_paths <= 0:
         _fail("sim", f"n_paths must be positive, got {n_paths}")
@@ -365,16 +365,15 @@ def load_config(path):
         _fail("sim", f"unknown small_jump_mode {mode!r}")
     try:
         sim = SimConfig(
-            t_end=parser.getfloat("sim", "t_end"),
-            epsilon=parser.getfloat("sim", "epsilon"),
-            base_seed=parser.getint("sim", "base_seed"),
-            dominating_rate_margin=parser.getfloat(
-                "sim", "margin", fallback=1.5
-            ),
-            max_jumps=parser.getint("sim", "max_jumps", fallback=10_000_000),
+            t_end=_typed(parser, "sim", "t_end", "float"),
+            epsilon=_typed(parser, "sim", "epsilon", "float"),
+            base_seed=_typed(parser, "sim", "base_seed", "int"),
+            dominating_rate_margin=_typed(parser, "sim", "margin", "float",
+                                          1.5),
+            max_jumps=_typed(parser, "sim", "max_jumps", "int", 10_000_000),
             small_jump_mode=mode,
         )
-    except (ValueError, configparser.Error) as exc:
+    except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from exc
 
     analyses = []

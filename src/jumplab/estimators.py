@@ -47,103 +47,92 @@ class TestFunction:
     grad: object
 
 
-def _const_u(x):
-    return 1.0
+def _first_coordinate(name, f, df):
+    """``u(x) = f(x_1)``, whose gradient is ``(f'(x_1), 0, ..., 0)``."""
+    def grad(x):
+        g = np.zeros(len(x))
+        g[0] = df(x[0])
+        return g
+
+    return TestFunction(name, lambda x: f(x[0]), grad)
 
 
-def _const_grad(x):
-    return np.zeros(len(x))
-
-
-def _sin0_u(x):
-    return math.sin(x[0])
-
-
-def _sin0_grad(x):
-    g = np.zeros(len(x))
-    g[0] = math.cos(x[0])
-    return g
-
-
-def _cos0_u(x):
-    return math.cos(x[0])
-
-
-def _cos0_grad(x):
-    g = np.zeros(len(x))
-    g[0] = -math.sin(x[0])
-    return g
-
-
-def _sq0_u(x):
-    return x[0] * x[0]
-
-
-def _sq0_grad(x):
-    g = np.zeros(len(x))
-    g[0] = 2.0 * x[0]
-    return g
-
-
-TEST_FUNCTIONS = {
-    "constant": TestFunction("constant", _const_u, _const_grad),
-    "sin_first": TestFunction("sin_first", _sin0_u, _sin0_grad),
-    "cos_first": TestFunction("cos_first", _cos0_u, _cos0_grad),
+TEST_FUNCTIONS = {fn.name: fn for fn in (
+    _first_coordinate("constant", lambda s: 1.0, lambda s: 0.0),
+    _first_coordinate("sin_first", math.sin, math.cos),
+    _first_coordinate("cos_first", math.cos, lambda s: -math.sin(s)),
     # unbounded; useful locally where moments are finite
-    "square_first": TestFunction("square_first", _sq0_u, _sq0_grad),
-}
+    _first_coordinate("square_first", lambda s: s * s, lambda s: 2.0 * s),
+)}
 
 
 # --- pathwise helpers --------------------------------------------------------
+
+
+def _time_integrals(paths, f, times, c=None):
+    """``int_0^t f(X_s) ds`` for every path at each of the increasing
+    ``times``, an ``(n_paths, len(times)) + shape`` array.
+
+    ``f`` takes one path's ``(n, d)`` array of the states it visits up
+    to the last time and returns their ``(n,) + shape`` values; it is
+    called once per path.  A constant ``c`` is integrated as ``t * c``
+    without ``f``.  Each entry is one ``np.dot`` of the holding times up
+    to ``t`` with its contiguous values, exact for a pure-jump path.
+    Raises :class:`RangeError` if a time lies outside a path's
+    ``[0, t_end]``, where the path has no data, and ``ValueError`` for
+    no paths.
+    """
+    if not paths:
+        raise ValueError("empty ensemble")
+    times = np.asarray(times, dtype=float)
+    if any(times[0] < 0 or times[-1] > p.t_end for p in paths):
+        raise RangeError("times outside [0, t_end]")
+    if c is not None:
+        c = np.asarray(c, dtype=float)
+        out = np.empty((len(paths), len(times)) + c.shape)
+        out[:] = times.reshape((-1,) + (1,) * c.ndim) * c
+        return out
+    out = None
+    *earlier, t_last = times.tolist()
+    for k, p in enumerate(paths):
+        states, holds = _visited_states(p.x0, p.jump_times, p.jump_vectors,
+                                        t_last)
+        vals = np.asarray(f(states), dtype=float)
+        if out is None:
+            shape = vals.shape[1:]
+            out = np.empty((len(paths), len(times), math.prod(shape)))
+        # one contiguous row of values per entry
+        rows = np.ascontiguousarray(vals.reshape(len(states), -1).T)
+        out[k, -1] = [np.dot(holds, row) for row in rows]
+        for m, t in enumerate(earlier):
+            _, holds = _visited_states(p.x0, p.jump_times, p.jump_vectors, t)
+            out[k, m] = [np.dot(holds, row[:len(holds)]) for row in rows]
+    return out.reshape((len(paths), len(times)) + shape)
 
 
 def predictable_integral(path, fn, t, constant_value=None):
     """``int_0^t f(X_s) ds`` for scalar ``f``, exact for pure-jump paths.
 
     ``constant_value`` short-circuits state-independent integrands.
+    Raises :class:`RangeError` if ``t`` lies outside ``[0, t_end]``.
     """
-    if constant_value is not None:
-        return constant_value * t
-    states, holds = _visited_states(path.x0, path.jump_times,
-                                    path.jump_vectors, t)
-    vals = np.array([fn(s) for s in states])
-    return float(np.dot(holds, vals))
+    return float(_time_integrals(
+        [path], lambda states: [fn(s) for s in states], [t],
+        constant_value)[0, 0])
 
 
 def _integrated_a(paths, kernel, times):
     """``int_0^t a(X_s) ds`` for every path at each of the increasing
     ``times``, an ``(n_paths, len(times), d, d)`` array, with ``a`` from
-    ``kernel.diffusion_matrix``.
+    ``kernel.diffusion_matrix``; a state-independent kernel evaluates
+    ``a`` once in all."""
+    def a(x):
+        return kernel.diffusion_matrix(x).a
 
-    A state-independent kernel evaluates ``a`` once in all; otherwise
-    ``a`` is evaluated once per state visited up to the last time, and
-    each entry is integrated by one ``np.dot`` of the holding times with
-    its contiguous values, the sum :func:`predictable_integral` takes.
-    Raises :class:`RangeError` if a time lies outside a path's
-    ``[0, t_end]``, where the realized side has no data.
-    """
-    d = kernel.d
-    times = np.asarray(times, dtype=float)
-    if any(times[0] < 0 or times[-1] > p.t_end for p in paths):
-        raise RangeError("times outside [0, t_end]")
-    out = np.empty((len(paths), len(times), d, d))
     if kernel.is_state_independent():
-        a = kernel.diffusion_matrix(tuple([0.0] * d)).a
-        out[:] = times[:, None, None] * a
-        return out
-    for k, p in enumerate(paths):
-        states, _ = _visited_states(p.x0, p.jump_times, p.jump_vectors,
-                                    times[-1])
-        # one contiguous row of values per entry (i, j)
-        rows = np.array([kernel.diffusion_matrix(s).a for s in states]) \
-            .reshape(len(states), d * d).T.copy()
-        for m, t in enumerate(times):
-            _, holds = _visited_states(p.x0, p.jump_times,
-                                       p.jump_vectors, t)
-            out[k, m] = np.array([
-                np.dot(holds, row[:len(holds)]) for row in rows
-            ]).reshape(d, d)
-    return out
+        return _time_integrals(paths, None, times, a((0.0,) * kernel.d))
+    return _time_integrals(paths, lambda states: [a(s) for s in states],
+                           times)
 
 
 # --- reports -----------------------------------------------------------------
@@ -209,26 +198,23 @@ class LILReport:
     radial: np.ndarray           # (n_paths, n_cp) R statistic
     running_max_directional: np.ndarray  # per path, at the last checkpoint
     running_max_radial: np.ndarray
-    lambda_hat: float
-    Lambda_hat: float
     degenerate: bool = False
-
-    @property
-    def band(self):
-        return (math.sqrt(self.lambda_hat), math.sqrt(self.Lambda_hat))
 
 
 # --- estimators --------------------------------------------------------------
 
 
-def _mean_se(samples, axis=0):
-    n = samples.shape[axis]
-    mean = samples.mean(axis=axis)
+def _mean_se(samples):
+    """Mean, standard error and z-score of ``samples`` over their first
+    axis; the z-score is 0 where the standard error is."""
+    n = len(samples)
+    mean = samples.mean(axis=0)
     if n > 1:
-        se = samples.std(axis=axis, ddof=1) / math.sqrt(n)
+        se = samples.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         se = np.zeros_like(mean)
-    return mean, se
+    z = np.where(se > 0, mean / np.where(se > 0, se, 1.0), 0.0)
+    return mean, se, z
 
 
 def martingale_test(ensemble, t):
@@ -250,13 +236,8 @@ def martingale_series(ensemble, times):
     deltas = np.empty((len(times), len(paths), paths[0].d))
     for k, p in enumerate(paths):
         deltas[:, k] = states_at(p, times) - p.x0
-    reports = []
-    for t, delta in zip(times, deltas):
-        mean, se = _mean_se(delta)
-        safe_se = np.where(se > 0, se, 1.0)
-        z = np.where(se > 0, mean / safe_se, 0.0)
-        reports.append(MartingaleReport(t, len(paths), mean, se, z))
-    return reports
+    return [MartingaleReport(t, len(paths), *_mean_se(delta))
+            for t, delta in zip(times, deltas)]
 
 
 def second_moment_identity(ensemble, kernel, t):
@@ -264,7 +245,7 @@ def second_moment_identity(ensemble, kernel, t):
     paths = ensemble.paths
     deltas = np.array([states_at(p, [t])[0] - p.x0 for p in paths])
     lhs_samples = deltas**2
-    lhs, lhs_se = _mean_se(lhs_samples)
+    lhs, lhs_se, _ = _mean_se(lhs_samples)
     A = _integrated_a(paths, kernel, [t])[:, 0]
     # contiguous rows: a strided mean would sum in another order
     rhs = np.diagonal(A, axis1=1, axis2=2).T.copy().mean(axis=1)
@@ -288,11 +269,7 @@ def qv_comparison(ensemble, kernel, t):
         zs = p.jump_vectors[:cut]
         if len(zs):
             realized[k] = zs.T @ zs
-    diff = realized - predictable
-    diff_flat = diff.reshape(n, -1)
-    mean, se = _mean_se(diff_flat)
-    safe = np.where(se > 0, se, 1.0)
-    z = np.where(se > 0, mean / safe, 0.0)
+    mean, se, z = _mean_se((realized - predictable).reshape(n, -1))
     return QVReport(
         t, n,
         realized.mean(axis=0),
@@ -322,14 +299,11 @@ def generator_martingale_test(ensemble, kernel, u, t):
     """z-test of ``E[u(X_t) - u(x0) - int_0^t Lu(X_s) ds] = 0``."""
     if isinstance(u, str):
         u = TEST_FUNCTIONS[u]
-    paths = ensemble.paths
     cache = {}
-    samples = []
-    for p in paths:
-        if t < 0 or t > p.t_end:
-            raise RangeError("times outside [0, t_end]")
-        states, holds = _visited_states(p.x0, p.jump_times,
-                                        p.jump_vectors, t)
+    changes = []  # u(X_t) - u(x0), one float per path
+
+    def lu(states):
+        changes.append(u.u(states[-1]) - u.u(states[0]))
         # Lu is cached by the state rounded to 12 decimals; a path's
         # states are rounded together in one call
         vals = []
@@ -338,27 +312,24 @@ def generator_martingale_test(ensemble, kernel, u, t):
             if key not in cache:
                 cache[key] = apply_generator(kernel, u, x)
             vals.append(cache[key])
-        integral = float(np.dot(holds, np.array(vals)))
-        samples.append(u.u(states[-1]) - u.u(p.x0) - integral)
-    samples = np.array(samples)
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(len(samples))) \
-        if len(samples) > 1 else 0.0
-    z = mean / se if se > 0 else 0.0
-    return GeneratorMartingaleReport(t, len(paths), u.name, mean, se, z)
+        return vals
+
+    integrals = _time_integrals(ensemble.paths, lu, [t])[:, 0]
+    mean, se, z = _mean_se(np.array(changes) - integrals)
+    return GeneratorMartingaleReport(t, len(integrals), u.name, float(mean),
+                                     float(se), float(z))
 
 
-def lil_statistics(ensemble, direction, checkpoints, lambda_hat, Lambda_hat,
-                   kernel=None):
+def lil_statistics(ensemble, direction, checkpoints, kernel):
     """Directional and radial iterated-logarithm statistics.
 
     ``W_t = <X_t, r> / sqrt(2 <X^r>_t loglog <X^r>_t)`` and
     ``R_t = |X_t| / sqrt(2 t loglog t)`` at each checkpoint, with
     running maxima of their absolute values.  Checkpoints must exceed
     ``e^e`` so the iterated logarithm is positive.  ``kernel`` supplies
-    ``a(x)``, and ``<X^r>_t = r' (int_0^t a(X_s) ds) r``; omitted,
-    ``<X^r>_t`` falls back to ``lambda_hat * t`` (exact for
-    state-independent kernels with ``lambda_hat = Lambda_hat``).
+    ``a(x)``, and ``<X^r>_t = r' (int_0^t a(X_s) ds) r``.  The report is
+    degenerate when ``<X^r>_t`` exceeds ``e`` at no checkpoint of any
+    path, so that no ``W_t`` is defined.
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
     if np.any(checkpoints < EE):
@@ -371,10 +342,7 @@ def lil_statistics(ensemble, direction, checkpoints, lambda_hat, Lambda_hat,
     W = np.zeros((n, ncp))
     R = np.zeros((n, ncp))
     degenerate = True
-    if kernel is None:
-        qvs = np.tile(lambda_hat * checkpoints, (n, 1))
-    else:
-        qvs = _integrated_a(paths, kernel, checkpoints) @ direction @ direction
+    qvs = _integrated_a(paths, kernel, checkpoints) @ direction @ direction
     for k, (p, qv) in enumerate(zip(paths, qvs)):
         xs = states_at(p, checkpoints)
         proj = xs @ direction
@@ -392,7 +360,5 @@ def lil_statistics(ensemble, direction, checkpoints, lambda_hat, Lambda_hat,
         )
     run_W = np.maximum.accumulate(np.abs(W), axis=1)[:, -1]
     run_R = np.maximum.accumulate(R, axis=1)[:, -1]
-    return LILReport(
-        checkpoints, direction, W, R, run_W, run_R,
-        lambda_hat, Lambda_hat, degenerate=degenerate,
-    )
+    return LILReport(checkpoints, direction, W, R, run_W, run_R,
+                     degenerate=degenerate)

@@ -27,7 +27,6 @@ from .kernels import (
     BigJumpStretchedExp,
     ConeRestriction,
     HuntDifference,
-    KernelSpec,
     surface_area,
 )
 from .quadrature import integrate_radial

@@ -318,7 +318,7 @@ def test_criterion_8_lil_band():
         SimConfig(t_end=1e5, epsilon=0.1, base_seed=20250826), 100,
     )
     checkpoints = [2.0**j for j in range(4, 17)]  # dyadic, all above e^e
-    rep = lil_statistics(ens, (1.0,), checkpoints, 1.0, 1.0)
+    rep = lil_statistics(ens, (1.0,), checkpoints, kernel=unit)
     coverage = float(np.mean(
         (rep.running_max_directional >= lo)
         & (rep.running_max_directional <= hi)
@@ -339,7 +339,7 @@ def test_criterion_8_lil_band():
         SimConfig(t_end=1024.0, epsilon=0.2, base_seed=424242), 48,
     )
     rep = lil_statistics(ens, (1.0,), [2.0**j for j in range(4, 11)],
-                         lam, big_lam, kernel=varying)
+                         kernel=varying)
     med = float(np.median(rep.running_max_radial))
     r_lo, r_hi = 0.5 * math.sqrt(lam), 1.5 * math.sqrt(big_lam)
     if not r_lo <= med <= r_hi:

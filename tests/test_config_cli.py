@@ -76,6 +76,32 @@ x0 = 0.0
 """
 
 
+# every jump lies on one line: the least eigenvalue of a(x) is 0, and
+# rounds to -5.55e-17; along (1, 1) the LIL statistic is defined
+DEGENERATE_LIL_2D = """\
+[kernel]
+dimension = 2
+components = atoms
+
+[component.atoms]
+family = compound_poisson_atoms
+atoms = 2.0: 0.3, 0.9; 2.0: -0.3, -0.9
+
+[sim]
+t_end = 200.0
+epsilon = 0.1
+base_seed = 11
+n_paths = 4
+x0 = 0.0, 0.0
+
+[output]
+write_paths = false
+
+[analysis.lil]
+direction = 1.0, 1.0
+"""
+
+
 def write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -275,6 +301,43 @@ class TestCliExitCodes:
                 "threshold\n  witness = (-10.0,)\n"
                 "  error = 'alpha(x)=2.5 outside (0, 2) at x=(-10.0,)'\n"
                 in report)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("t_end = 1.0", "t_end = abc", "t_end = 'abc' is not numeric"),
+        ("epsilon = 0.05", "epsilon = small",
+         "epsilon = 'small' is not numeric"),
+        ("base_seed = 777", "base_seed = 1.5",
+         "base_seed = '1.5' is not an integer"),
+        ("x0 = 0.0", "x0 = 0.0\nmargin = wide",
+         "margin = 'wide' is not numeric"),
+        ("x0 = 0.0", "x0 = 0.0\nmax_jumps = 1e6",
+         "max_jumps = '1e6' is not an integer"),
+        ("t_end = 1.0\n", "", "missing t_end"),
+        ("epsilon = 0.05\n", "", "missing epsilon"),
+        ("base_seed = 777\n", "", "missing base_seed"),
+        ("t_end = 1.0", "t_end = -1.0", "t_end must be positive"),
+    ], ids=["t_end", "epsilon", "base_seed", "margin", "max_jumps",
+            "missing_t_end", "missing_epsilon", "missing_base_seed",
+            "t_end_range"])
+    def test_malformed_sim_key(self, tmp_path, capsys, old, new, message):
+        text = GOOD.replace(old, new, 1)
+        assert text != GOOD
+        p = write(tmp_path, text)
+        assert main(["validate", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: [sim] {message}\n" == capsys.readouterr().err
+
+    def test_lil_on_a_degenerate_kernel(self, tmp_path, capsys):
+        p = write(tmp_path, DEGENERATE_LIL_2D)
+        out = tmp_path / "o"
+        code = main(["analyze", str(p), "--out", str(out), "--force"])
+        assert code in (0, 1)
+        verdict = capsys.readouterr().out
+        assert verdict.startswith(("PASS", "FAIL"))
+        assert " lil: coverage = " in verdict
+        root = out / config_hash(DEGENERATE_LIL_2D)
+        for f in ("reports/lil.csv", "plots/lil.svg",
+                  "reports/analysis_summary.txt", "manifest.json"):
+            assert (root / f).is_file()
 
     def test_simulate_blocked_without_force(self, tmp_path):
         bad = CONFIGS / "divergent_power_law.cfg"

@@ -1,6 +1,7 @@
 """Path-functional estimators: exact integrals, generator action, gates."""
 
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -80,6 +81,14 @@ class TestPredictableIntegral:
         # closed form: up to t=0.4: 0*0.25 + 1*0.15 = 0.15
         assert predictable_integral(p, f, 0.4) == pytest.approx(0.15,
                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("t", [5.0, -1.0])
+    @pytest.mark.parametrize("constant_value", [None, 1.0])
+    def test_time_outside_the_path_raises(self, t, constant_value):
+        # the path holds no states outside [0, t_end = 1]
+        p = hand_path([0.25, 0.5], [[1.0], [2.0]])
+        with pytest.raises(RangeError):
+            predictable_integral(p, lambda x: 1.0, t, constant_value)
 
 
 class TestApplyGenerator:
@@ -270,6 +279,11 @@ class TestMartingaleSeries:
             martingale_series(ens, [0.5, 1.0])
         with pytest.raises(ValueError):
             martingale_test(ens, 1.0)
+        # the time integral behind the other gates refuses it too
+        with pytest.raises(ValueError):
+            qv_comparison(ens, ATOMS, 1.0)
+        with pytest.raises(ValueError):
+            generator_martingale_test(ens, ATOMS, "sin_first", 1.0)
 
     def test_time_beyond_horizon_raises(self):
         ens = simulate_ensemble(ATOMS, (0.0,), cfg(), 5)
@@ -374,7 +388,7 @@ class TestIntegratedA:
         k = KernelSpec(1, (StableLikeSmall(c, coeffs.constant(1.0)),))
         ens = simulate_ensemble(k, (0.0,), cfg(t_end=64.0, epsilon=0.2), 4)
         cps = [16.0, 40.0, 64.0]
-        rep = lil_statistics(ens, (-1.0,), cps, 1.0, 1.0, kernel=k)
+        rep = lil_statistics(ens, (-1.0,), cps, kernel=k)
         assert not rep.degenerate
         a11 = lambda x: float(k.diffusion_matrix(x).a[0, 0])
         for p, w in zip(ens.paths, rep.directional):
@@ -382,6 +396,94 @@ class TestIntegratedA:
             proj = -states_at(p, cps)[:, 0]
             want = proj / np.sqrt(2.0 * qv * np.log(np.log(qv)))
             np.testing.assert_allclose(w, want, rtol=1e-12)
+
+
+def _digest(values):
+    data = np.asarray(values, dtype=float).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+# state-dependent, with a zero-mean atomic part
+PIN_1D = KernelSpec(1, (
+    StableLikeSmall(coeffs.inverse_quadratic_bump(1.0, 1.0),
+                    coeffs.constant(0.5)),
+    CompoundPoissonAtoms(((0.5, (0.6,)), (0.25, (-0.8,)), (0.25, (-0.4,)))),
+))
+
+# SHA-256 of the float64 bytes of each estimate, recorded before the
+# estimators shared one time integral and one z-test
+PINNED_ESTIMATES = {
+    "1d": {
+        "qv.predictable_mean@40.0":
+            "38fd3caf4625b636a8eeb44b93e48ec2685aaeac5bb419ebdac08ef8ce433370",
+        "qv.z_scores@40.0":
+            "c6e5a480f19adb62eed540bd7b13e195682de278de539157e8431f8dc259fa5c",
+        "moment.rhs@40.0":
+            "38fd3caf4625b636a8eeb44b93e48ec2685aaeac5bb419ebdac08ef8ce433370",
+        "predictable_integral@40.0":
+            "bffdf8ae7dac1e5942f39f33003c8aab083ba84a4a71c44da7c839afb5d390a7",
+        "qv.predictable_mean@21.5":
+            "22a70a88efa66c2f5c24fa4d797bd58b7b5cc56afb86996e423526af3f6e228c",
+        "qv.z_scores@21.5":
+            "b3b551f2b01e5883c30d0cd5d1c7a1f308ebb0bce5afc549b77b704217e4458a",
+        "moment.rhs@21.5":
+            "22a70a88efa66c2f5c24fa4d797bd58b7b5cc56afb86996e423526af3f6e228c",
+        "predictable_integral@21.5":
+            "9d404ed42ee17964deac6a8f6ddc105ff40b625c3d25fb3b97a023c76d7f2479",
+        "generator@21.5":
+            "89b13b6fbecb3c7708f8fb9a69a4bfb26b9b249932dfcc89d6d9e3eee9c2267b",
+        "lil":
+            "e3303070735ea2186a065c1e91544df09472b0ca9668389fafa72554cec977ac",
+    },
+    "2d": {
+        "qv.predictable_mean@20.0":
+            "27386f23d2ee0076b5ebc17029245889a12c98ea9e341de0be3ada48edaab0c1",
+        "qv.z_scores@20.0":
+            "758b2b3a99730084a5e3794461b463f8cccbc95b5d1a32ab3941fed99bc8c884",
+        "moment.rhs@20.0":
+            "6a7bd2b9cbcc94b22177279220578559dedcab936119077054c5e0c3c24bbdbe",
+        "qv.predictable_mean@10.5":
+            "677e60c5ef63dfa8514e2977738c7cbde228fb35490264ddacac39fe2a118fcc",
+        "qv.z_scores@10.5":
+            "de587b3167d93fb4a0adc6c56b21a368fc03001dd8c94c581a5ec9a72b513eac",
+        "moment.rhs@10.5":
+            "56bd28a97dcdcbddf26ac235fe938c6f1d2d8d02dfbee138a58cca94da16c1c3",
+        "lil":
+            "b5b6e76221bb9a06dadee73bf6e574ce8fedf36f09ddbb1f2307c2d783a419e3",
+    },
+}
+
+
+class TestPinnedEstimators:
+    # MIXED_2D has no generator pin: apply_generator raises in 2-d for
+    # its stable-like part
+    @pytest.mark.parametrize("name, kernel, x0, t_end, times, checkpoints", [
+        ("1d", PIN_1D, (0.0,), 40.0, (40.0, 21.5), (16.0, 32.0, 40.0)),
+        ("2d", MIXED_2D, (0.3, -0.2), 20.0, (20.0, 10.5), (16.0, 20.0)),
+    ], ids=["1d", "2d"])
+    def test_pinned(self, name, kernel, x0, t_end, times, checkpoints):
+        ens = simulate_ensemble(kernel, x0, cfg(t_end=t_end, epsilon=0.2),
+                                12)
+        got = {}
+        for t in times:
+            qv = qv_comparison(ens, kernel, t)
+            got[f"qv.predictable_mean@{t}"] = _digest(qv.predictable_mean)
+            got[f"qv.z_scores@{t}"] = _digest(qv.z_scores)
+            got[f"moment.rhs@{t}"] = _digest(
+                second_moment_identity(ens, kernel, t).rhs)
+            if kernel.d == 1:
+                a11 = lambda x: float(kernel.diffusion_matrix(x).a[0, 0])
+                got[f"predictable_integral@{t}"] = _digest(
+                    [predictable_integral(p, a11, t) for p in ens.paths])
+        if kernel.d == 1:
+            g = generator_martingale_test(ens, kernel, "cos_first", 21.5)
+            got["generator@21.5"] = _digest([g.mean, g.se, g.z_score])
+        lil = lil_statistics(ens, (1.0,) * kernel.d, checkpoints, kernel)
+        assert not lil.degenerate
+        got["lil"] = _digest(np.concatenate([
+            lil.directional.ravel(), lil.radial.ravel(),
+            lil.running_max_directional, lil.running_max_radial]))
+        assert got == PINNED_ESTIMATES[name]
 
 
 class TestGeneratorMartingale:
@@ -407,24 +509,16 @@ class TestLil:
     def test_checkpoints_below_ee_rejected(self):
         ens = simulate_ensemble(ATOMS, (0.0,), cfg(t_end=20.0), 3)
         with pytest.raises(RangeError):
-            lil_statistics(ens, (1.0,), [10.0, 20.0], 0.5, 0.5)
+            lil_statistics(ens, (1.0,), [10.0, 20.0], kernel=ATOMS)
 
     def test_statistics_shape_and_band(self):
         ens = simulate_ensemble(ATOMS, (0.0,), cfg(t_end=64.0), 10)
         cps = [16.0, 32.0, 64.0]
-        rep = lil_statistics(ens, (1.0,), cps, 0.5, 0.5, kernel=ATOMS)
+        rep = lil_statistics(ens, (1.0,), cps, kernel=ATOMS)
         assert rep.directional.shape == (10, 3)
         assert rep.radial.shape == (10, 3)
-        assert rep.band == (math.sqrt(0.5), math.sqrt(0.5))
         assert not rep.degenerate
         assert np.all(rep.running_max_directional >= 0.0)
-
-    def test_kernel_and_fallback_agree_for_constant_rate(self):
-        ens = simulate_ensemble(ATOMS, (0.0,), cfg(t_end=64.0), 5)
-        cps = [16.0, 64.0]
-        with_k = lil_statistics(ens, (1.0,), cps, 0.5, 0.5, kernel=ATOMS)
-        without = lil_statistics(ens, (1.0,), cps, 0.5, 0.5)
-        assert np.allclose(with_k.directional, without.directional)
 
     def test_ee_constant(self):
         assert EE == pytest.approx(math.e**math.e)

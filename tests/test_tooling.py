@@ -1,5 +1,7 @@
-"""The benchmark's tracer against the library it instruments."""
+"""Project tooling: the benchmark's tracer against the library it
+instruments, and a guard against dead code in the library."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +20,57 @@ def test_tracer_installs():
         [sys.executable, "-c", "import tracer; tracer.install()"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _read_names(tree):
+    """Every name the module reads, attribute names included."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store))}
+
+
+def _defined_names(node):
+    """The names a module-level statement binds, imports aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = getattr(node, "targets", [getattr(node, "target", None)])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_no_dead_code():
+    # no linter ships with the project: an import that its module never
+    # reads, or a private module-level name that no module reads or
+    # imports, fails here; __init__.py is skipped, because its imports
+    # are the public API
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "jumplab").glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _read_names(tree)
+        referenced |= {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names}
+    problems = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        read = _read_names(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read:
+                        problems.append(f"{name}:{node.lineno} unused "
+                                        f"import {bound}")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                   ast.Assign, ast.AnnAssign)):
+                problems += [f"{name}:{node.lineno} {private} is never read"
+                             for private in _defined_names(node)
+                             if private.startswith("_")
+                             and not private.startswith("__")
+                             and private not in referenced]
+    assert not problems, "\n".join(problems)
