@@ -1,10 +1,9 @@
 """Scalar coefficient functions of the state, with declared bounds.
 
 A :class:`CoefficientFn` wraps a parsed expression (or a plain constant)
-together with the bounds the user claims for it, or, in a config without
-``*_bounds``, the bounds observed where it was parsed.  No validator
-checks a coefficient against its bounds yet; for the builtin families
-below they hold analytically.
+together with the bounds the user claims for it, ``(-inf, inf)`` in a
+config without ``*_bounds``.  No validator checks a coefficient against
+its bounds yet; for the builtin families below they hold analytically.
 """
 
 from __future__ import annotations

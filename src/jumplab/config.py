@@ -29,8 +29,6 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import coeffs, exprlang
 from .errors import (
     AtomicKernelError,
@@ -157,14 +155,9 @@ def _typed(parser, section, key, kind, fallback=_REQUIRED):
                        f"{_KINDS[kind]}")
 
 
-# radial coefficients (alpha_r) are functions of r = |z| alone; without
-# declared bounds, their observed bounds are taken over these radii
-_RADII = [(r,) for r in np.geomspace(1e-4, 1e4, 201)]
-
-
-def _coeff(parser, section, key, d, points):
-    """Coefficient ``key`` with its declared ``*_bounds``, or else the
-    bounds observed at ``points``."""
+def _coeff(parser, section, key, d):
+    """Coefficient ``key`` with its declared ``*_bounds``, or else
+    ``(-inf, inf)``: the validators evaluate it over the grid."""
     raw = parser.get(section, key, fallback=None)
     if raw is None:
         _fail(section, f"missing coefficient {key!r}")
@@ -177,12 +170,8 @@ def _coeff(parser, section, key, d, points):
         _fail(section, f"{key} references x[{expr.max_coord() + 1}] "
                        f"but d={d}")
     bkey = f"{key}_bounds"
-    bounds = parser.get(section, bkey, fallback=None)
-    if bounds is not None:
-        lo, hi = _floats(bounds, 2, section, bkey)
-    else:
-        vals = [exprlang.evaluate(expr, p) for p in points]
-        lo, hi = min(vals), max(vals)
+    lo, hi = _floats(parser.get(section, bkey, fallback="-inf, inf"), 2,
+                     section, bkey)
     return coeffs.CoefficientFn(expr, lo, hi, raw)
 
 
@@ -239,28 +228,28 @@ def _analysis_params(parser, name, d, t_end):
     return params
 
 
-def _component(parser, section, d, grid_points):
+def _component(parser, section, d):
     family = parser.get(section, "family", fallback=None)
     if family is None:
         _fail(section, "missing family")
     family = family.strip()
     if family == "stable_like_small":
         return StableLikeSmall(
-            _coeff(parser, section, "c", d, grid_points),
-            _coeff(parser, section, "alpha", d, grid_points),
+            _coeff(parser, section, "c", d),
+            _coeff(parser, section, "alpha", d),
             bass_normalized=_typed(parser, section, "bass_normalized",
                                    "boolean", False),
         )
     if family == "big_jump_power_law":
         return BigJumpPowerLaw(
-            _coeff(parser, section, "c0", d, grid_points),
-            _coeff(parser, section, "beta1", d, grid_points),
+            _coeff(parser, section, "c0", d),
+            _coeff(parser, section, "beta1", d),
         )
     if family == "big_jump_stretched_exp":
         return BigJumpStretchedExp(
-            _coeff(parser, section, "c0", d, grid_points),
+            _coeff(parser, section, "c0", d),
             _typed(parser, section, "lambda", "float"),
-            _coeff(parser, section, "beta2", d, grid_points),
+            _coeff(parser, section, "beta2", d),
         )
     if family == "compound_poisson_atoms":
         raw = parser.get(section, "atoms", fallback=None)
@@ -296,7 +285,7 @@ def _component(parser, section, d, grid_points):
                 == "cone_restriction":
             _fail(section, f"base [{base_section}] is itself a cone "
                            "restriction")
-        base = _component(parser, base_section, d, grid_points)
+        base = _component(parser, base_section, d)
         pname = parser.get(section, "predicate", fallback=None)
         if pname not in PREDICATES:
             _fail(section, f"unknown predicate {pname!r}; "
@@ -308,8 +297,8 @@ def _component(parser, section, d, grid_points):
             _fail(section, str(exc))
     if family == "hunt_difference":
         return HuntDifference(
-            _coeff(parser, section, "c", d, grid_points),
-            _coeff(parser, section, "alpha_r", 1, _RADII),
+            _coeff(parser, section, "c", d),
+            _coeff(parser, section, "alpha_r", 1),
         )
     _fail(section, f"unknown family {family!r}")
 
@@ -345,7 +334,7 @@ def load_config(path):
         section = f"component.{name}"
         if not parser.has_section(section):
             _fail("kernel", f"no section [{section}]")
-        comps.append(_component(parser, section, d, grid.points))
+        comps.append(_component(parser, section, d))
     kernel = KernelSpec(d, tuple(comps))
     if parser.has_section("envelope"):
         # check_envelopes needs jump samples z, which a config cannot give

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
-__all__ = ["Expr", "parse", "evaluate", "pretty", "check_range", "RangeReport"]
+__all__ = ["Expr", "parse", "evaluate", "pretty"]
 
 _FUNCTIONS = {
     "exp": 1,
@@ -432,46 +432,3 @@ def pretty_node(node):
 def pretty(expr):
     """Fully parenthesized rendering; reparses to an equal AST."""
     return pretty_node(expr.root)
-
-
-# --- range checking ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RangeReport:
-    observed_min: float
-    observed_max: float
-    lo: float
-    hi: float
-    argmin: tuple
-    argmax: tuple
-    n_points: int
-
-    @property
-    def passed(self):
-        return self.lo <= self.observed_min and self.observed_max <= self.hi
-
-
-def check_range(expr, grid, lo, hi):
-    """Evaluate ``expr`` over every point of ``grid`` against ``[lo, hi]``.
-
-    Advisory: a finite grid cannot certify global bounds.  Evaluation
-    errors propagate, annotated with the offending grid point.
-    """
-    points = list(grid)
-    if not points:
-        raise ValueError("empty grid")
-    vmin = math.inf
-    vmax = -math.inf
-    argmin = argmax = None
-    for p in points:
-        pt = p if hasattr(p, "__len__") else (p,)
-        try:
-            v = evaluate(expr, pt)
-        except (DomainError, IndexError) as exc:
-            raise type(exc)(f"{exc} (at grid point {tuple(pt)})") from exc
-        if v < vmin:
-            vmin, argmin = v, tuple(float(c) for c in pt)
-        if v > vmax:
-            vmax, argmax = v, tuple(float(c) for c in pt)
-    return RangeReport(vmin, vmax, lo, hi, argmin, argmax, len(points))

@@ -641,21 +641,25 @@ class HuntDifference(_Isotropic):
         alpha_r = self.alpha_r
         return lambda r: 0.0 if r <= 0.0 else cv * r ** (-d - alpha_r((r,)))
 
-    def radial_moment(self, x, power, lo, hi, d):
-        cv = self.c(x)
+    def radial_integral(self, power, lo, hi):
+        """``int_lo^hi r^(power-1-alpha_r(r)) dr``, the state-free factor
+        of ``radial_moment``."""
         # near 0 the integrand behaves like r^{power-1-alpha(0+)}
         sing = power - 1.0 - self.alpha_r((1e-12,)) if lo == 0.0 else 0.0
-        res = integrate_radial(
+        return integrate_radial(
             lambda r: r ** (power - 1.0 - self.alpha_r((r,))),
             lo, hi, sing,
         )
+
+    def radial_moment(self, x, power, lo, hi, d):
+        cv = self.c(x)
+        res = self.radial_integral(power, lo, hi)
         s = surface_area(d)
         return QuadratureResult(cv * s * res.value, cv * s * res.error_bound,
                                 res.evaluations)
 
     def tail_sampler(self, d, eps):
-        return _RadialSampler(_HuntRadialTable(self.alpha_r, eps).radius,
-                              d, eps)
+        return _RadialSampler(_HuntRadialTable(self, eps).radius, d, eps)
 
     def j(self, x, y, d):
         """The two-point kernel value ``J(x, y)``."""
@@ -670,19 +674,13 @@ class _HuntRadialTable:
     ``[eps, R]``; the shape does not depend on the state, only the
     total mass does, so one table serves every state."""
 
-    def __init__(self, alpha_r, eps, n=4096):
+    def __init__(self, hunt, eps, n=4096):
         # extend until the remaining tail is negligible
         R = max(4.0, 1.0 / eps)
-        while True:
-            tail = integrate_radial(
-                lambda r: r ** (-1.0 - alpha_r((r,))), R, math.inf, 0.0
-            ).value
-            body = integrate_radial(
-                lambda r: r ** (-1.0 - alpha_r((r,))), eps, R, 0.0
-            ).value
-            if tail <= 1e-12 * body:
-                break
+        while (hunt.radial_integral(0, R, math.inf).value
+               > 1e-12 * hunt.radial_integral(0, eps, R).value):
             R *= 4.0
+        alpha_r = hunt.alpha_r
         grid = np.exp(np.linspace(math.log(eps), math.log(R), n))
         dens = np.array([r ** (-1.0 - alpha_r((r,))) for r in grid])
         mids = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EnvelopeViolation, JumpCapExceeded, RangeError
-from .kernels import CompoundPoissonAtoms
 
 __all__ = [
     "SimConfig",
@@ -450,9 +449,7 @@ def sample_compound_poisson_direct(kernel, x0, t_end, base_seed, path_index):
     thinning scheme.
     """
     comp = kernel.components[0]
-    if len(kernel.components) != 1 or not isinstance(
-        comp, CompoundPoissonAtoms
-    ):
+    if len(kernel.components) != 1 or not comp.atomic:
         raise TypeError("direct sampler requires a single atomic component")
     rng = _rng_for_path(base_seed, path_index)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AtomicKernelError,
-    DivergenceDetected,
-    DivergentIntegral,
-    DomainError,
-)
+from .errors import AtomicKernelError, DivergentIntegral, DomainError
 from .kernels import (
     BigJumpPowerLaw,
     BigJumpStretchedExp,
@@ -29,13 +24,11 @@ from .kernels import (
     HuntDifference,
     surface_area,
 )
-from .quadrature import integrate_radial
 
 __all__ = [
     "StateGrid",
     "CheckResult",
     "ValidationReport",
-    "EllipticityBounds",
     "default_grid",
     "check_second_moment",
     "check_zero_drift",
@@ -95,12 +88,6 @@ def default_grid(d, extent=None, n=None):
 
 
 @dataclass(frozen=True)
-class EllipticityBounds:
-    lambda_hat: float
-    Lambda_hat: float
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     verdict: str
@@ -145,6 +132,19 @@ def _grid_sample(points, cap=2048):
         return list(points)
     stride = max(1, len(points) // cap)
     return list(points[::stride])
+
+
+def _on_grid(fn, points, name, citation):
+    """``fn`` at every grid point, or a FAIL of check ``name`` whose
+    witness is the first point where it raises."""
+    vals = []
+    for p in points:
+        try:
+            vals.append(fn(p))
+        except (DomainError, IndexError) as exc:
+            return CheckResult(name, FAIL, {"error": str(exc)}, citation,
+                               witness=p)
+    return vals
 
 
 # --- individual checks -------------------------------------------------------
@@ -249,12 +249,13 @@ def check_envelopes(kernel, envelopes, grid, z_samples):
             citation, witness=origin,
         )
 
+    # the envelopes are state-free: their densities are taken once per z
+    bands = [(z, nu1.density(origin, z), nu2.density(origin, z))
+             for z in z_samples]
     worst_low = worst_high = 0.0
     witness = None
     for x in grid.points:
-        for z in z_samples:
-            lo = nu1.density(origin, z)
-            hi = nu2.density(origin, z)
+        for z, lo, hi in bands:
             mid = kernel.density(x, z)
             if lo > mid + 1e-12:
                 worst_low = max(worst_low, lo - mid)
@@ -296,23 +297,21 @@ def check_ellipticity(kernel, grid):
         if eig[-1] > Lam:
             Lam, Lam_at = float(eig[-1]), x
         max_err = max(max_err, dm.quadrature_error)
-    bounds = EllipticityBounds(lam, Lam)
     evidence = {
         "lambda_hat": lam, "Lambda_hat": Lam,
         "argmin": lam_at, "argmax": Lam_at,
         "quadrature_error": max_err, "grid_points": len(grid.points),
-        "bounds": bounds,
     }
     if lam > EIGEN_TOL:
         return CheckResult(name, PASS, evidence, citation)
     return CheckResult(name, FAIL, evidence, citation, witness=lam_at)
 
 
-def _modulus_of_continuity(fn, points, radii):
-    """Grid estimate of r -> sup over pairs within distance r of |f(x)-f(y)|."""
-    pts = _grid_sample(points)
-    arr = np.array(pts)
-    vals = np.array([fn(p) for p in pts])
+def _modulus_of_continuity(vals, points, radii):
+    """Grid estimate of r -> sup over pairs within distance r of |f(x)-f(y)|,
+    from the values ``vals`` of f at ``points``."""
+    arr = np.array(_grid_sample(points))
+    vals = np.array(_grid_sample(vals))
     if arr.ndim == 1:
         arr = arr[:, None]
     diff2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
@@ -330,10 +329,9 @@ def check_index_regularity(alpha, grid, lipschitz_constant=None):
     name = "index_regularity"
     citation = "variable order bounded in (0, 2) with a Dini modulus"
     radii = grid.pair_radii
-    try:
-        vals = [alpha(p) for p in grid.points]
-    except (DomainError, IndexError) as exc:
-        return CheckResult(name, FAIL, {"error": str(exc)}, citation)
+    if isinstance(vals := _on_grid(alpha, grid.points, name, citation),
+                  CheckResult):
+        return vals
     vmin, vmax = min(vals), max(vals)
     if vmin <= 0.0 or vmax >= 2.0:
         arg = grid.points[vals.index(vmax if vmax >= 2.0 else vmin)]
@@ -352,7 +350,7 @@ def check_index_regularity(alpha, grid, lipschitz_constant=None):
             citation,
         )
 
-    omega = _modulus_of_continuity(alpha, grid.points, radii)
+    omega = _modulus_of_continuity(vals, grid.points, radii)
     loglog_decay = [abs(math.log(r)) * w for r, w in zip(radii, omega)]
     # geometric radii: int_0^1 omega(r)/r dr ~ sum omega(r_k) * log 2
     dini_sum = sum(omega) * math.log(2.0)
@@ -380,11 +378,21 @@ def check_big_jump_conditions(component, grid):
     """Envelope, continuity and zero-mean conditions for a big-jump family."""
     name = "big_jump"
     citation = "dominated, continuous, mean-zero big-jump density"
+    if not isinstance(component, (BigJumpPowerLaw, BigJumpStretchedExp)):
+        raise TypeError(
+            f"not a big-jump component: {type(component).__name__}")
+    power_law = isinstance(component, BigJumpPowerLaw)
     pts = grid.points
-    if isinstance(component, BigJumpPowerLaw):
-        betas = [component.beta1(p) for p in pts]
-        c0s = [component.c0(p) for p in pts]
-        inf_b, sup_c = min(betas), max(c0s)
+    beta = component.beta1 if power_law else component.beta2
+    if isinstance(betas := _on_grid(beta, pts, name, citation), CheckResult):
+        return betas
+    if isinstance(c0s := _on_grid(component.c0, pts, name, citation),
+                  CheckResult):
+        return c0s
+    inf_b = min(betas)
+    cont = _continuity_probe(c0s) + _continuity_probe(betas)
+    if power_law:
+        sup_c = max(c0s)
         if inf_b <= 2.0:
             arg = pts[betas.index(inf_b)]
             return CheckResult(
@@ -395,9 +403,6 @@ def check_big_jump_conditions(component, grid):
             )
         d = len(pts[0])
         envelope_moment = sup_c * surface_area(d) / (inf_b - 2.0)
-        cont = _continuity_probe(component.c0, pts) + _continuity_probe(
-            component.beta1, pts
-        )
         return CheckResult(
             name, PASS,
             {"inf_beta1": inf_b, "sup_c0": sup_c,
@@ -406,34 +411,26 @@ def check_big_jump_conditions(component, grid):
              "zero_mean": "exact (isotropic density)"},
             citation,
         )
-    if isinstance(component, BigJumpStretchedExp):
-        betas = [component.beta2(p) for p in pts]
-        inf_b = min(betas)
-        if inf_b <= 0.0 or component.lam <= 0.0:
-            arg = pts[betas.index(inf_b)]
-            return CheckResult(
-                name, FAIL,
-                {"inf_beta2": inf_b, "lambda": component.lam},
-                citation, witness=arg,
-            )
-        cont = _continuity_probe(component.c0, pts) + _continuity_probe(
-            component.beta2, pts
-        )
+    if inf_b <= 0.0 or component.lam <= 0.0:
+        arg = pts[betas.index(inf_b)]
         return CheckResult(
-            name, PASS,
-            {"inf_beta2": inf_b, "lambda": component.lam,
-             "continuity_probe": cont,
-             "note": "stretched-exponential envelope always integrable",
-             "zero_mean": "exact (isotropic density)"},
-            citation,
+            name, FAIL,
+            {"inf_beta2": inf_b, "lambda": component.lam},
+            citation, witness=arg,
         )
-    raise TypeError(f"not a big-jump component: {type(component).__name__}")
+    return CheckResult(
+        name, PASS,
+        {"inf_beta2": inf_b, "lambda": component.lam,
+         "continuity_probe": cont,
+         "note": "stretched-exponential envelope always integrable",
+         "zero_mean": "exact (isotropic density)"},
+        citation,
+    )
 
 
-def _continuity_probe(fn, points):
-    """Max increment between consecutive grid points; advisory evidence."""
-    pts = _grid_sample(points, cap=512)
-    vals = [fn(p) for p in pts]
+def _continuity_probe(vals):
+    """Max increment between consecutive grid values; advisory evidence."""
+    vals = _grid_sample(vals, cap=512)
     return max(
         (abs(a - b) for a, b in zip(vals, vals[1:])), default=0.0
     )
@@ -446,24 +443,25 @@ def check_hunt_conditions(component, grid):
     if not isinstance(component, HuntDifference):
         raise TypeError("check_hunt_conditions requires a Hunt component")
     radii = grid.pair_radii
-    alpha = component.alpha_r
     evidence = {}
 
-    # radial integrability: int_0^inf r^{1-alpha(r)} dr
-    sing = 1.0 - alpha((1e-12,))
+    # int r^{1-alpha(r)} over (0, inf) and (0, 1), and int r^{-1-alpha(r)}
+    # over [1, inf): the |z|^2 and tail-mass bands of one unit of c(x)
     try:
-        radial = integrate_radial(
-            lambda r: r ** (1.0 - alpha((r,))), 0.0, math.inf, sing
-        )
-    except DivergenceDetected as exc:
+        radial, near, tail = (
+            component.radial_integral(power, lo, hi).value
+            for power, lo, hi in ((2, 0.0, math.inf), (2, 0.0, 1.0),
+                                  (0, 1.0, math.inf)))
+    except (DivergentIntegral, DomainError) as exc:
         return CheckResult(
-            name, FAIL,
-            {"error": f"radial second-moment integral diverges: {exc}"},
+            name, FAIL, {"error": f"radial second-moment integral: {exc}"},
             citation, witness=("radial",),
         )
-    evidence["radial_integral"] = radial.value
+    evidence["radial_integral"] = radial
 
-    cs = [component.c(p) for p in grid.points]
+    if isinstance(cs := _on_grid(component.c, grid.points, name, citation),
+                  CheckResult):
+        return cs
     c_min, c_max = min(cs), max(cs)
     if c_min <= 0.0:
         return CheckResult(
@@ -471,20 +469,12 @@ def check_hunt_conditions(component, grid):
             witness=grid.points[cs.index(c_min)],
         )
     evidence["c_range"] = (c_min, c_max)
-    d = len(grid.points[0])
+    s = surface_area(len(grid.points[0]))
 
     # sup_x int (1 ^ |z|^2) Js <= sup c * S_d * int (1 ^ r^2) r^{-1-alpha}
-    levy = integrate_radial(
-        lambda r: min(1.0, r * r) * r ** (-1.0 - alpha((r,))),
-        0.0, math.inf, 1.0 - alpha((1e-12,)),
-    )
-    evidence["levy_type_bound"] = c_max * surface_area(d) * levy.value
-
+    evidence["levy_type_bound"] = c_max * s * (near + tail)
     # tail mass is uniformly bounded: the L-infinity branch
-    tail = integrate_radial(
-        lambda r: r ** (-1.0 - alpha((r,))), 1.0, math.inf, 0.0
-    )
-    evidence["tail_mass_sup"] = c_max * surface_area(d) * tail.value
+    evidence["tail_mass_sup"] = c_max * s * tail
 
     # asymmetry: g_c(r) from grid pairs, bounded by a fitted Lipschitz slope
     if component.c.is_constant():
@@ -493,19 +483,12 @@ def check_hunt_conditions(component, grid):
         evidence["note"] = "constant c: the kernel is symmetric, Ja = 0"
         return CheckResult(name, PASS, evidence, citation)
 
-    gc = _modulus_of_continuity(component.c, grid.points, radii)
+    gc = _modulus_of_continuity(cs, grid.points, radii)
     evidence["gc"] = gc
     slope = max((g / r for g, r in zip(gc, radii)), default=0.0)
-    asym = integrate_radial(
-        lambda r: (slope * r) ** 2 * r ** (-1.0 - alpha((r,))),
-        0.0, 1.0, 1.0 - alpha((1e-12,)),
-    )
     osc = c_max - c_min
-    asym_tail = integrate_radial(
-        lambda r: osc**2 * r ** (-1.0 - alpha((r,))), 1.0, math.inf, 0.0
-    )
     evidence["asymmetry_integral_bound"] = (
-        surface_area(d) * (asym.value + asym_tail.value) / max(2.0 * c_min, 1e-300)
+        s * (slope**2 * near + osc**2 * tail) / max(2.0 * c_min, 1e-300)
     )
     evidence["gc_lipschitz_slope"] = slope
     evidence["note"] = (

@@ -1,6 +1,7 @@
 """Config parsing, the command line driver, and its output layout."""
 
 import json
+import math
 from pathlib import Path as FSPath
 
 import pytest
@@ -188,7 +189,7 @@ class TestLoadConfig:
         comp = load(body)
         assert isinstance(comp, BigJumpStretchedExp)
         assert (comp.c0(x), comp.lam, comp.beta2(x)) == (2.0, 0.5, 0.75)
-        assert (comp.c0.lo, comp.c0.hi) == (2.0, 2.0)
+        assert (comp.c0.lo, comp.c0.hi) == (-math.inf, math.inf)
         assert (comp.beta2.lo, comp.beta2.hi) == (0.5, 1.0)
         missing(body, "lambda", r"\[component\.main\] missing lambda")
 
@@ -197,13 +198,12 @@ class TestLoadConfig:
         comp = load(body)
         assert isinstance(comp, HuntDifference)
         assert (comp.c(x), comp.alpha_r((0.5,))) == (1.5, 1.25)
-        assert (comp.c.lo, comp.c.hi) == (1.5, 1.5)
+        assert (comp.c.lo, comp.c.hi) == (-math.inf, math.inf)
         assert (comp.alpha_r.lo, comp.alpha_r.hi) == (0.9, 1.6)
         missing(body, "alpha_r", r"\[component\.main\] missing.*alpha_r")
-        # without bounds: observed over radii 1e-4 .. 1e4
+        # without bounds: nothing is evaluated when the config is loaded
         comp = load(body.replace("alpha_r_bounds = 0.9, 1.6\n", ""))
-        assert comp.alpha_r.lo == pytest.approx(1.00005)
-        assert comp.alpha_r.hi == 1.5
+        assert (comp.alpha_r.lo, comp.alpha_r.hi) == (-math.inf, math.inf)
 
         body = ("family = cone_restriction\nbase = base\n"
                 "predicate = first_positive\n")
@@ -211,7 +211,8 @@ class TestLoadConfig:
         assert isinstance(comp, ConeRestriction)
         assert isinstance(comp.base, BigJumpPowerLaw)
         assert (comp.base.c0(x), comp.base.beta1(x)) == (2.0, 3.0)
-        assert (comp.base.beta1.lo, comp.base.beta1.hi) == (3.0, 3.0)
+        assert (comp.base.beta1.lo, comp.base.beta1.hi) == (-math.inf,
+                                                            math.inf)
         assert isinstance(comp.predicate, FirstCoordinatePositive)
         assert comp.symmetric is False
         missing(body, "base", r"\[component\.main\] missing base")
@@ -223,7 +224,7 @@ class TestLoadConfig:
         assert isinstance(comp, StableLikeSmall)
         assert comp.bass_normalized is True
         assert (comp.c(x), comp.alpha(x)) == (1.0, 1.5)
-        assert (comp.alpha.lo, comp.alpha.hi) == (1.5, 1.5)
+        assert (comp.alpha.lo, comp.alpha.hi) == (-math.inf, math.inf)
         assert load(body.replace("true", "false")).bass_normalized is False
         missing(body, "alpha",
                 r"\[component\.main\] missing coefficient 'alpha'")
@@ -301,6 +302,39 @@ class TestCliExitCodes:
                 "threshold\n  witness = (-10.0,)\n"
                 "  error = 'alpha(x)=2.5 outside (0, 2) at x=(-10.0,)'\n"
                 in report)
+
+    @pytest.mark.parametrize("body, check, witness, error", [
+        ("family = big_jump_power_law\nc0 = 1\nbeta1 = 3 + log(x[1])\n"
+         "beta1_bounds = 3, 4\n", "big_jump", "(-2.0,)",
+         "log of non-positive value -2.0"),
+        ("family = hunt_difference\nc = sqrt(x[1])\nc_bounds = 0, 2\n"
+         "alpha_r = 0.5 + 2*clamp(r, 0, 1)\n", "hunt", "(-2.0,)",
+         "sqrt of negative value -2.0"),
+        ("family = hunt_difference\nc = 1.0\n"
+         "alpha_r = 0.5 + sqrt(2 - r)\n", "hunt", "('radial',)",
+         "radial second-moment integral: sqrt of negative value"),
+        ("family = stable_like_small\nc = 1.0\n"
+         "alpha = 1 + 0.5*sqrt(x[1])\nalpha_bounds = 1, 2\n",
+         "index_regularity", "(-2.0,)", "sqrt of negative value -2.0"),
+    ], ids=["big_jump_beta1", "hunt_c", "hunt_alpha_r", "index_alpha"])
+    def test_coefficient_that_raises_fails_with_witness(
+            self, tmp_path, body, check, witness, error):
+        # the grid runs from -2 to 2: each coefficient raises first at -2,
+        # and the family check reports that point instead of crashing
+        text = ONE_COMPONENT.format(main=body + (
+            "\n[component.small]\nfamily = stable_like_small\nc = 1\n"
+            "alpha = 1.5\n")).replace("components = main",
+                                      "components = small, main")
+        p = write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["validate", str(p), "--out", str(out)]) == 1
+        root = out / config_hash(text)
+        report = (root / "reports" / "validation.txt").read_text()
+        block = report.split(f"check {check}\n")[-1].split("check ")[0]
+        assert "  verdict = fail\n" in block
+        assert f"  witness = {witness}\n" in block
+        assert f"  error = '{error}" in block
+        assert (root / "manifest.json").is_file()
 
     @pytest.mark.parametrize("old, new, message", [
         ("t_end = 1.0", "t_end = abc", "t_end = 'abc' is not numeric"),

@@ -157,25 +157,6 @@ class TestRoundTrip:
         )
 
 
-class TestCheckRange:
-    def test_bounded_coefficient_passes(self):
-        expr = exprlang.parse("1 + 0.5/(1 + |x|^2)")
-        grid = [(float(v),) for v in np.linspace(-10, 10, 201)]
-        rep = exprlang.check_range(expr, grid, 1.0, 1.5)
-        assert rep.passed
-        assert rep.observed_max == 1.5
-        assert rep.argmax == (0.0,)
-        assert rep.observed_min > 1.0
-
-    def test_violation_reports_witness(self):
-        expr = exprlang.parse("|x|")
-        grid = [(-2.0,), (0.0,), (3.0,)]
-        rep = exprlang.check_range(expr, grid, 0.0, 2.5)
-        assert not rep.passed
-        assert rep.observed_max == 3.0
-        assert rep.argmax == (3.0,)
-
-
 def _norm(x):
     return math.sqrt(sum(c * c for c in x))
 

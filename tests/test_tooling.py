@@ -1,5 +1,6 @@
 """Project tooling: the benchmark's tracer against the library it
-instruments, and a guard against dead code in the library."""
+instruments, a guard against dead code in the library, and a count of
+the coefficient evaluations that loading a config makes."""
 
 import ast
 import os
@@ -74,3 +75,23 @@ def test_no_dead_code():
                              and not private.startswith("__")
                              and private not in referenced]
     assert not problems, "\n".join(problems)
+
+
+def test_loading_a_config_evaluates_no_coefficient(monkeypatch):
+    # the validators are the one place that evaluates coefficients over
+    # the grid; loading a config only parses them
+    from jumplab import config, exprlang
+
+    calls = []
+    evaluate = exprlang.evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(exprlang, "evaluate", counted)
+    configs = sorted((ROOT / "configs").glob("*.cfg"))
+    assert configs
+    for path in configs:
+        config.load_config(path)
+    assert calls == []

@@ -1,9 +1,14 @@
 """Sufficient-condition checks: the truth table and its witnesses."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from jumplab import coeffs
+from jumplab.config import PREDICATES
 from jumplab.errors import AtomicKernelError
 from jumplab.kernels import (
     BigJumpPowerLaw,
@@ -106,8 +111,8 @@ class TestEllipticity:
         k = KernelSpec(2, (stable(alpha=1.0),))
         res = check_ellipticity(k, small_grid(2, 2.0, 5))
         assert res.verdict == PASS
-        b = res.evidence["bounds"]
-        assert b.lambda_hat == pytest.approx(b.Lambda_hat, rel=1e-9)
+        ev = res.evidence
+        assert ev["lambda_hat"] == pytest.approx(ev["Lambda_hat"], rel=1e-9)
 
     def test_axis_supported_2d_fails(self):
         # jumps only along the first axis: a_22 = 0
@@ -272,3 +277,52 @@ class TestRunAll:
         text = report.to_text()
         assert "verdict = pass" in text
         assert "second_moment" in text
+
+
+def report_kernels(d):
+    """Each family in R^d with state-dependent coefficients, bare, and
+    each density family under the two shipped cones."""
+    bump = coeffs.inverse_quadratic_bump
+    e = np.eye(d)
+    atoms = tuple((w, tuple(s * 0.5 * e[k]))
+                  for k, w in enumerate((1.0, 0.5, 2.0)[:d]) for s in (1, -1))
+    families = {
+        "stable": StableLikeSmall(bump(1.0, 0.5), bump(1.0, 0.5)),
+        "power": BigJumpPowerLaw(
+            coeffs.from_source("1 + 0.2*x[1]^2/(1 + |x|^2)", 1.0, 1.2),
+            bump(3.0, 0.5)),
+        "stretched": BigJumpStretchedExp(bump(1.0, 0.3), 1.0,
+                                         bump(0.75, 0.25)),
+        "hunt": HuntDifference(bump(1.0, 0.3), coeffs.from_source(
+            "0.5 + 2*clamp(r, 0, 1)", 0.5, 2.5)),
+        "atoms": CompoundPoissonAtoms(atoms),
+    }
+    for name, comp in families.items():
+        yield f"{name}-bare-d{d}", comp
+        if not comp.atomic:
+            for pname, predicate in PREDICATES.items():
+                pred = predicate()
+                cone = ConeRestriction(comp, pred, symmetric=pred.symmetric)
+                yield f"{name}-{pname}-d{d}", cone
+
+
+# SHA-256 of run_all(...).to_text() for each kernel above, recorded
+# before the family checks shared one grid sweep (the Hunt reports after
+# the Hunt check moved onto HuntDifference.radial_integral)
+PINNED_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "pinned_reports.json").read_text())
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_report_text(self, d):
+        # spacing 0.5, the largest pair radius, so that the moduli of
+        # continuity are not all zero
+        grid = default_grid(d, 2.0 if d == 1 else 0.5, 9 if d == 1 else 3)
+        seen = set()
+        for key, comp in report_kernels(d):
+            text = run_all(KernelSpec(d, (comp,)), grid).to_text()
+            assert hashlib.sha256(text.encode()).hexdigest() \
+                == PINNED_REPORTS[key], key
+            seen.add(key)
+        assert seen == {k for k in PINNED_REPORTS if k.endswith(f"-d{d}")}
