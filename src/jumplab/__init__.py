@@ -33,7 +33,6 @@ from .errors import (
     UnknownIdentifier,
 )
 from .kernels import (
-    BassConstant,
     BigJumpPowerLaw,
     BigJumpStretchedExp,
     CompoundPoissonAtoms,

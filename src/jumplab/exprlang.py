@@ -100,36 +100,25 @@ class Expr:
 
     def max_coord(self):
         """Largest zero-based coordinate index referenced, or -1 if none."""
-        return _max_coord(self.root)
+        return max(_reads(self.root), default=-1)
 
     def is_constant(self):
-        return _is_const(self.root)
+        return not _reads(self.root)
 
 
-def _max_coord(node):
+def _reads(node):
+    """The coordinates ``node`` reads: an index, or -1 for ``|x|``."""
     if isinstance(node, Coord):
-        return node.index
+        return {node.index}
+    if isinstance(node, Norm):
+        return {-1}
     if isinstance(node, BinOp):
-        return max(_max_coord(node.left), _max_coord(node.right))
+        return _reads(node.left) | _reads(node.right)
     if isinstance(node, Neg):
-        return _max_coord(node.operand)
+        return _reads(node.operand)
     if isinstance(node, Call):
-        return max((_max_coord(a) for a in node.args), default=-1)
-    return -1
-
-
-def _is_const(node):
-    if isinstance(node, (Coord, Norm)):
-        return False
-    if isinstance(node, Const):
-        return True
-    if isinstance(node, BinOp):
-        return _is_const(node.left) and _is_const(node.right)
-    if isinstance(node, Neg):
-        return _is_const(node.operand)
-    if isinstance(node, Call):
-        return all(_is_const(a) for a in node.args)
-    return True
+        return set().union(*map(_reads, node.args))
+    return set()
 
 
 # --- tokenizer ---------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "HuntDifference",
     "EnvelopePair",
     "DiffusionMatrix",
-    "BassConstant",
     "bass_constant",
     "hunt_decompose",
     "surface_area",
@@ -55,13 +54,6 @@ def surface_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-@dataclass(frozen=True)
-class BassConstant:
-    alpha: float
-    d: int
-    value: float
-
-
 def bass_constant(alpha, d):
     """Normalizing constant of the variable-order fractional generator.
 
@@ -70,18 +62,16 @@ def bass_constant(alpha, d):
     """
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
-    value = (
+    return (
         alpha
         * 2.0 ** (alpha - 1.0)
         * math.gamma((alpha + d) / 2.0)
         / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0))
     )
-    return BassConstant(alpha, d, value)
 
 
 @dataclass(frozen=True)
 class DiffusionMatrix:
-    x: tuple
     a: np.ndarray
     quadrature_error: float
 
@@ -279,7 +269,7 @@ class StableLikeSmall(_Isotropic):
             raise DomainError(f"alpha(x)={a} outside (0, 2) at x={tuple(x)}")
         cv = self.c(x)
         if self.bass_normalized:
-            cv *= bass_constant(a, d).value
+            cv *= bass_constant(a, d)
         return cv, a
 
     def support(self, d):
@@ -745,54 +735,46 @@ class KernelSpec:
             )
         return sum(c.density(x, z, self.d) for c in self.components)
 
-    def _sum(self, moment, *args):
-        """The sum over components of a QuadratureResult ``moment``."""
-        total = QuadratureResult(0.0, 0.0, 0)
-        for c in self.components:
-            total = total + getattr(c, moment)(*args, self.d)
+    def moment(self, x, power, lo, hi, order=0, components=None):
+        """The sum over ``components`` (all by default) of their banded
+        moment: a QuadratureResult whose value is a scalar, d-vector or
+        d x d matrix for ``order`` 0, 1 or 2."""
+        total = QuadratureResult(
+            np.zeros((self.d,) * order) if order else 0.0, 0.0, 0)
+        for c in self.components if components is None else components:
+            total = total + c.moment(x, power, lo, hi, self.d, order)
         return total
 
     def second_moment(self, x):
         """``int |z|^2 N(x, dz)`` with an error bound."""
-        return self._sum("second_moment", x)
-
-    def _tensor(self, components, x, power, lo, order):
-        """The sum over ``components`` of a vector or matrix moment on
-        ``[lo, inf)``, as ``(value, error_bound)``."""
-        value = np.zeros((self.d,) * order)
-        err = 0.0
-        for c in components:
-            res = c.moment(x, power, lo, math.inf, self.d, order)
-            value += res.value
-            err += res.error_bound
-        return value, err
+        return self.moment(x, 2, 0.0, math.inf)
 
     def drift_tail(self, x, eps):
         """``int_{|z| >= eps} z N(x, dz)`` as ``(vector, error_bound)``.
 
-        Odd-symmetric components contribute an exact zero.
-        """
+        Odd-symmetric components contribute an exact zero and are
+        skipped: a power law's band of power 1 may diverge."""
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        return self._tensor([c for c in self.components
-                             if not c.odd_symmetric], x, 1, eps, 1)
+        res = self.moment(x, 1, eps, math.inf, 1, [
+            c for c in self.components if not c.odd_symmetric])
+        return res.value, res.error_bound
 
     def diffusion_matrix(self, x):
         """``a_ij(x) = int z_i z_j N(x, dz)`` with a quadrature error."""
-        a, err = self._tensor(self.components, x, 2, 0.0, 2)
-        a = 0.5 * (a + a.T)
-        x_t = tuple(float(v) for v in np.atleast_1d(x))
-        return DiffusionMatrix(x_t, a, err)
+        res = self.moment(x, 2, 0.0, math.inf, 2)
+        return DiffusionMatrix(0.5 * (res.value + res.value.T),
+                               res.error_bound)
 
     def total_mass_tail(self, x, eps):
         """``N(x, {|z| >= eps})`` with an error bound."""
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        return self._sum("tail_mass", x, eps)
+        return self.moment(x, 0, eps, math.inf)
 
     def dropped_variance(self, x, eps):
         """``int_{|z| < eps} |z|^2 N(x, dz)`` lost to truncation."""
-        return self._sum("dropped_variance", x, eps)
+        return self.moment(x, 2, 0.0, eps)
 
 
 @dataclass(frozen=True)

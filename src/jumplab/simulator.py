@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EnvelopeViolation, JumpCapExceeded, RangeError
+from .errors import (DivergentIntegral, DomainError, EnvelopeViolation,
+                     JumpCapExceeded, RangeError)
 
 __all__ = [
     "SimConfig",
@@ -89,7 +90,6 @@ class Path:
 @dataclass(frozen=True)
 class PathEnsemble:
     config: SimConfig
-    kernel_label: str
     paths: tuple
 
     @property
@@ -198,9 +198,7 @@ class ThinningSimulator:
         self.state_independent = kernel.is_state_independent()
         origin = tuple([0.0] * kernel.d)
         probe = [origin] if self.state_independent else rate_grid
-        sup = max(
-            kernel.total_mass_tail(x, config.epsilon).value for x in probe
-        )
+        sup = max(map(self._tail_rate, probe))
         self.dominating_rate = config.dominating_rate_margin * sup
         # state-independent kernels: rates, acceptance probability and
         # dropped fraction never change; precompute them once
@@ -219,6 +217,14 @@ class ThinningSimulator:
             self._si_cache = (
                 p_accept, probs, self._compute_dropped_fraction(origin),
             )
+
+    def _tail_rate(self, x):
+        """The kernel's total tail rate at ``x``; an error names ``x``."""
+        try:
+            return self.kernel.total_mass_tail(x, self.config.epsilon).value
+        except (DivergentIntegral, DomainError) as exc:
+            raise type(exc)(f"dominating rate at x={tuple(map(float, x))}: "
+                            f"{exc}") from exc
 
     def _rates(self, x):
         # one tail_mass call per component and state, which bench/tracer.py
@@ -370,13 +376,9 @@ class ThinningSimulator:
         grid = np.linspace(0.0, cfg.t_end, _GAUSS_SUBSTEPS + 1)
         mids = 0.5 * (grid[1:] + grid[:-1])
         states = states_at(path, mids)
-        incs = []
-        for k, tm in enumerate(mids):
-            var = self.kernel.dropped_variance(
-                states[k], cfg.epsilon
-            ).value / d
-            dt = grid[k + 1] - grid[k]
-            incs.append(rng.standard_normal(d) * math.sqrt(var * dt))
+        incs = [rng.standard_normal(d) * math.sqrt(
+            self.kernel.dropped_variance(x, cfg.epsilon).value / d * dt)
+            for x, dt in zip(states, np.diff(grid))]
         all_times = np.concatenate([path.jump_times, mids])
         all_jumps = np.vstack([path.jump_vectors.reshape(-1, d), incs])
         order = np.argsort(all_times, kind="stable")
@@ -395,10 +397,7 @@ class ThinningSimulator:
         else:
             x0 = np.atleast_1d(np.asarray(x0, dtype=float))
             paths = [self._path(x0, i) for i in range(n_paths)]
-        label = " + ".join(
-            type(c).__name__ for c in self.kernel.components
-        )
-        return PathEnsemble(self.config, label, tuple(paths))
+        return PathEnsemble(self.config, tuple(paths))
 
     def _ensemble_parallel(self, x0, n_paths, jobs):
         import concurrent.futures

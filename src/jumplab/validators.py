@@ -141,7 +141,7 @@ def _on_grid(fn, points, name, citation):
     for p in points:
         try:
             vals.append(fn(p))
-        except (DomainError, IndexError) as exc:
+        except (DivergentIntegral, DomainError, IndexError) as exc:
             return CheckResult(name, FAIL, {"error": str(exc)}, citation,
                                witness=p)
     return vals
@@ -154,18 +154,14 @@ def check_second_moment(kernel, grid):
     """Finiteness of the second moment, uniformly over the grid."""
     name = "second_moment"
     citation = "uniform second moment of the jumping kernel"
+    if isinstance(vals := _on_grid(kernel.second_moment, grid.points, name,
+                                   citation), CheckResult):
+        vals.evidence["grid_points"] = len(grid.points)
+        return vals
     sup = -math.inf
     arg = None
     max_err = 0.0
-    for x in grid.points:
-        try:
-            res = kernel.second_moment(x)
-        except (DivergentIntegral, DomainError) as exc:
-            return CheckResult(
-                name, FAIL,
-                {"error": str(exc), "grid_points": len(grid.points)},
-                citation, witness=x,
-            )
+    for x, res in zip(grid.points, vals):
         if res.value > sup:
             sup, arg = res.value, x
         max_err = max(max_err, res.error_bound)
@@ -188,17 +184,15 @@ def check_zero_drift(kernel, grid):
              "grid_points": len(grid.points)},
             citation,
         )
+    if isinstance(vals := _on_grid(
+            lambda x: [float(np.max(np.abs(kernel.drift_tail(x, eps)[0])))
+                       for eps in DRIFT_EPSILONS],
+            grid.points, name, citation), CheckResult):
+        return vals
     worst = 0.0
     worst_at = None
-    for x in grid.points:
-        for eps in DRIFT_EPSILONS:
-            try:
-                vec, err = kernel.drift_tail(x, eps)
-            except (DivergentIntegral, DomainError) as exc:
-                return CheckResult(
-                    name, FAIL, {"error": str(exc)}, citation, witness=x
-                )
-            m = float(np.max(np.abs(vec)))
+    for x, drifts in zip(grid.points, vals):
+        for eps, m in zip(DRIFT_EPSILONS, drifts):
             if m > worst:
                 worst = m
                 worst_at = (x, eps)
@@ -252,11 +246,14 @@ def check_envelopes(kernel, envelopes, grid, z_samples):
     # the envelopes are state-free: their densities are taken once per z
     bands = [(z, nu1.density(origin, z), nu2.density(origin, z))
              for z in z_samples]
+    if isinstance(vals := _on_grid(
+            lambda x: [kernel.density(x, z) for z in z_samples],
+            grid.points, name, citation), CheckResult):
+        return vals
     worst_low = worst_high = 0.0
     witness = None
-    for x in grid.points:
-        for z, lo, hi in bands:
-            mid = kernel.density(x, z)
+    for x, mids in zip(grid.points, vals):
+        for (z, lo, hi), mid in zip(bands, mids):
             if lo > mid + 1e-12:
                 worst_low = max(worst_low, lo - mid)
                 witness = witness or (x, tuple(z), "below nu1")
@@ -281,16 +278,14 @@ def check_ellipticity(kernel, grid):
     """Uniform bounds on the eigenvalues of the second-moment matrix."""
     name = "ellipticity"
     citation = "uniform ellipticity of a_ij(x)"
+    if isinstance(vals := _on_grid(kernel.diffusion_matrix, grid.points,
+                                   name, citation), CheckResult):
+        return vals
     lam = math.inf
     Lam = -math.inf
     lam_at = Lam_at = None
     max_err = 0.0
-    for x in grid.points:
-        try:
-            dm = kernel.diffusion_matrix(x)
-        except (DivergentIntegral, DomainError) as exc:
-            return CheckResult(name, FAIL, {"error": str(exc)}, citation,
-                               witness=x)
+    for x, dm in zip(grid.points, vals):
         eig = np.linalg.eigvalsh(dm.a)
         if eig[0] < lam:
             lam, lam_at = float(eig[0]), x

@@ -95,9 +95,9 @@ def test_criterion_1_moment_oracles():
                                          coeffs.constant(3.0)),))
     checks.append(("power-law second moment",
                    big.second_moment((0.0,)).value, 2.0))
-    checks.append(("bass constant d=1", bass_constant(1.0, 1).value,
+    checks.append(("bass constant d=1", bass_constant(1.0, 1),
                    1.0 / math.pi))
-    checks.append(("bass constant d=3", bass_constant(1.0, 3).value,
+    checks.append(("bass constant d=3", bass_constant(1.0, 3),
                    1.0 / math.pi**2))
 
     # one-sided tail drift: int_1^inf z * z^{-4} dz = 1/2

@@ -336,6 +336,25 @@ class TestCliExitCodes:
         assert f"  error = '{error}" in block
         assert (root / "manifest.json").is_file()
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_forced_run_names_the_state_its_rate_raises_at(
+            self, tmp_path, capsys, command):
+        # validation fails at x = -2 and is forced past: the dominating
+        # rate, taken over the same grid, stops there and says where
+        text = ONE_COMPONENT.format(main=(
+            "family = big_jump_power_law\nc0 = 1\nbeta1 = 3 + log(x[1])\n"
+            "\n[component.small]\nfamily = stable_like_small\nc = 1\n"
+            "alpha = 1.5\n")).replace(
+                "components = main", "components = small, main").replace(
+                "n_paths = 1\nx0 = 0.0",
+                "n_paths = 2\nx0 = 1.0\n\n[analysis.martingale]\nt = 1.0")
+        p = write(tmp_path, text)
+        out = str(tmp_path / "o")
+        assert main([command, str(p), "--out", out, "--force"]) == 1
+        assert capsys.readouterr().err == (
+            "error: dominating rate at x=(-2.0,): "
+            "log of non-positive value -2.0\n")
+
     @pytest.mark.parametrize("old, new, message", [
         ("t_end = 1.0", "t_end = abc", "t_end = 'abc' is not numeric"),
         ("epsilon = 0.05", "epsilon = small",

@@ -229,7 +229,7 @@ class TestMartingale:
 
     def test_shifted_ensemble_fails(self):
         shifted = PathEnsemble(
-            self.ens.config, self.ens.kernel_label,
+            self.ens.config,
             [Path(p.x0, p.t_end, p.jump_times,
                   p.jump_vectors + 0.05, p.dropped_variance_fraction,
                   p.seed, p.epsilon) for p in self.ens.paths],
@@ -274,7 +274,7 @@ class TestMartingaleSeries:
                 assert np.array_equal(got.z_scores, z)
 
     def test_empty_ensemble_raises(self):
-        ens = PathEnsemble(cfg(), "empty", ())
+        ens = PathEnsemble(cfg(), ())
         with pytest.raises(ValueError):
             martingale_series(ens, [0.5, 1.0])
         with pytest.raises(ValueError):

@@ -50,9 +50,9 @@ class TestBassConstant:
     def test_alpha_one(self):
         # closed form: alpha 2^{alpha-1} Gamma((alpha+d)/2) /
         #           (pi^{d/2} Gamma(1-alpha/2)) at alpha=1
-        assert bass_constant(1.0, 1).value == pytest.approx(1.0 / math.pi,
-                                                            rel=1e-12)
-        assert bass_constant(1.0, 3).value == pytest.approx(
+        assert bass_constant(1.0, 1) == pytest.approx(1.0 / math.pi,
+                                                      rel=1e-12)
+        assert bass_constant(1.0, 3) == pytest.approx(
             1.0 / math.pi**2, rel=1e-12
         )
 
@@ -657,4 +657,19 @@ class TestBandAdditivity:
             slack = (below.error_bound + above.error_bound
                      + full.error_bound + 1e-15 * np.trace(full.value))
             gap = np.abs(below.value + above.value - full.value)
+            assert np.max(gap) <= slack
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_kernel_bands_sum_to_diffusion_matrix(self, d):
+        # KernelSpec.moment sums the families: its bands of the matrix
+        # add up to diffusion_matrix
+        kernel = KernelSpec(d, tuple(moment_families(d).values()))
+        x = MOMENT_STATES[1][:d]
+        full = kernel.diffusion_matrix(x)
+        for eps in (0.5, 1.5):
+            below = kernel.moment(x, 2, 0.0, eps, 2)
+            above = kernel.moment(x, 2, eps, math.inf, 2)
+            slack = (below.error_bound + above.error_bound
+                     + full.quadrature_error + 1e-15 * np.trace(full.a))
+            gap = np.abs(below.value + above.value - full.a)
             assert np.max(gap) <= slack

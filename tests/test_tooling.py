@@ -3,6 +3,7 @@ instruments, a guard against dead code in the library, and a count of
 the coefficient evaluations that loading a config makes."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -11,16 +12,45 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _traced(code):
+    """Run ``code`` after ``t = tracer.install()`` in a fresh process;
+    returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; t = tracer.install()\n" + code],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_tracer_installs():
     # bench/tracer.py wraps kernel moments, component tail masses and
     # validator and estimator functions by name, so a rename in the
     # library breaks traced benchmark runs and nothing else
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "bench")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracer; tracer.install()"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _traced("")
+
+
+def test_tracer_sees_every_check_of_run_all():
+    # run_all must reach its checks through the module globals, and the
+    # checks the kernel through its named moments, or a traced run
+    # times and counts nothing of them
+    out = _traced("""
+import json
+from jumplab import coeffs, config, kernels, validators
+base = kernels.StableLikeSmall(coeffs.constant(1.0),
+                               coeffs.inverse_quadratic_bump(1.0, 0.5))
+cone = kernels.ConeRestriction(base, config.PREDICATES["first_positive"]())
+validators.run_all(kernels.KernelSpec(1, (cone,)),
+                   validators.default_grid(1, 2.0, 5))
+print(json.dumps({"checks": tracer._CHECKS, "calls": t.calls}))
+""")
+    got = json.loads(out)
+    want = {f"validators.{name}" for name in got["checks"]} | {
+        "kernels.second_moment", "kernels.drift_tail",
+        "kernels.diffusion_matrix"}
+    assert len(got["checks"]) == 4
+    assert want <= set(got["calls"])
 
 
 def _read_names(tree):

@@ -245,6 +245,34 @@ class TestConeAudit:
         assert res.verdict == FAIL
 
 
+def _raising(source):
+    """A 1-d stable-like component whose c is ``source``."""
+    return StableLikeSmall(coeffs.from_source(source, 1.0, 2.0),
+                           coeffs.constant(1.5))
+
+
+ENVELOPES = EnvelopePair(KernelSpec(1, (stable(0.5),)),
+                         KernelSpec(1, (stable(3.0),)))
+
+
+class TestCoefficientThatRaises:
+    # x[2] does not exist in 1-d, and sqrt(x[1]) raises for x < 0: each
+    # check reports the first grid point, -2, instead of raising
+    @pytest.mark.parametrize("check, comp", [
+        (check_second_moment, _raising("1 + x[2]")),
+        (check_ellipticity, _raising("1 + x[2]")),
+        (check_zero_drift, ConeRestriction(
+            _raising("1 + x[2]"), PREDICATES["first_positive"]())),
+        (lambda k, g: check_envelopes(k, ENVELOPES, g, [(0.5,), (-0.25,)]),
+         _raising("1 + sqrt(x[1])")),
+    ], ids=["second_moment", "ellipticity", "zero_drift", "envelopes"])
+    def test_fails_with_witness(self, check, comp):
+        res = check(KernelSpec(1, (comp,)), small_grid(extent=2.0, n=5))
+        assert res.verdict == FAIL
+        assert res.witness == (-2.0,)
+        assert res.evidence["error"]
+
+
 class TestRunAll:
     def test_admissible_family_has_no_fail(self):
         # small stable-like part plus dominated power-law big jumps
