@@ -37,12 +37,10 @@ from .kernels import (
     BigJumpStretchedExp,
     CompoundPoissonAtoms,
     ConeRestriction,
-    EnvelopePair,
     HuntDifference,
     KernelSpec,
     StableLikeSmall,
     bass_constant,
-    hunt_decompose,
     surface_area,
 )
 from .simulator import (
@@ -50,7 +48,6 @@ from .simulator import (
     PathEnsemble,
     SimConfig,
     ThinningSimulator,
-    auto_epsilon,
     read_path_csv,
     simulate_ensemble,
     simulate_path,

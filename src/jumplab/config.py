@@ -337,9 +337,9 @@ def load_config(path):
         comps.append(_component(parser, section, d))
     kernel = KernelSpec(d, tuple(comps))
     if parser.has_section("envelope"):
-        # check_envelopes needs jump samples z, which a config cannot give
-        _fail("envelope", "envelope checks are not run from configs; call "
-                          "validators.check_envelopes with z samples")
+        _fail("envelope", "envelope sections are not supported; the "
+                          "second_moment, ellipticity, big_jump and hunt "
+                          "checks certify what the envelopes would")
 
     if not parser.has_section("sim"):
         raise ConfigError("missing [sim] section")

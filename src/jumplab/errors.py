@@ -30,7 +30,7 @@ class DomainError(JumplabError):
 
 
 class AtomicKernelError(JumplabError):
-    """A density was requested from a purely atomic kernel component."""
+    """A construction that needs a density was given an atomic component."""
 
 
 class DivergentIntegral(JumplabError):

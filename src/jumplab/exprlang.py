@@ -316,7 +316,7 @@ def _compile(node):
         def coord(x):
             if i >= len(x):
                 raise IndexError(
-                    f"coordinate x[{i}] out of range for d={len(x)}"
+                    f"coordinate x[{i + 1}] out of range for d={len(x)}"
                 )
             return float(x[i])
 
@@ -368,6 +368,13 @@ def _compile(node):
     return lambda x: op(f(x), g(x), h(x))
 
 
+def _exp(v):
+    try:
+        return math.exp(v)
+    except OverflowError as exc:
+        raise DomainError(f"exp of {v} overflows") from exc
+
+
 def _log(v):
     if v <= 0.0:
         raise DomainError(f"log of non-positive value {v}")
@@ -386,7 +393,7 @@ def _clamp(v, lo, hi):
 
 _OPERATIONS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "exp": math.exp, "log": _log, "sin": math.sin, "cos": math.cos,
+    "exp": _exp, "log": _log, "sin": math.sin, "cos": math.cos,
     "sqrt": _sqrt, "abs": abs, "min": min, "max": max, "clamp": _clamp,
 }
 

@@ -37,10 +37,8 @@ __all__ = [
     "CompoundPoissonAtoms",
     "ConeRestriction",
     "HuntDifference",
-    "EnvelopePair",
     "DiffusionMatrix",
     "bass_constant",
-    "hunt_decompose",
     "surface_area",
 ]
 
@@ -96,7 +94,6 @@ def _uniform_direction(rng, d, n=None):
 #   coefficients                 -- its coefficients of the state (a cone's
 #                                   are its base's)
 #   odd_symmetric / isotropic / atomic flags
-#   density(x, z, d)             -- atoms raise
 #   moment(x, power, lo, hi, d, order=0)
 #                                -- the QuadratureResult of
 #                                   int_{lo <= |z| < hi} |z|^power
@@ -114,8 +111,7 @@ def _uniform_direction(rng, d, n=None):
 #
 # A component with a density rho(|z|) 1_A(z), A closed under scaling,
 # describes it by four things, from which _DensityComponent builds its
-# density, its moments, and its generator terms in one loop over the
-# sphere nodes:
+# moments and its generator terms in one loop over the sphere nodes:
 #   support(d)                   -- (r_lo, r_hi): the density vanishes for
 #                                   |z| outside [r_lo, r_hi)
 #   radial_profile(x, d)         -- the density as a function r -> rho(r)
@@ -165,15 +161,6 @@ class _DensityComponent(_BandedMoments):
 
     def inside(self, z):
         return True
-
-    def density(self, x, z, d):
-        z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
-        lo, hi = self.support(d)
-        # off the support the coefficients at x are not evaluated
-        if r <= 0.0 or r < lo or r >= hi or not self.inside(z):
-            return 0.0
-        return self.radial_profile(x, d)(r)
 
     def moment(self, x, power, lo, hi, d, order=0):
         """The radial moment of ``power`` over ``[lo, hi)`` times the
@@ -476,9 +463,6 @@ class CompoundPoissonAtoms(_BandedMoments):
                 return False
         return True
 
-    def density(self, x, z, d):
-        raise AtomicKernelError("atomic components have no density")
-
     def moment(self, x, power, lo, hi, d, order=0):
         value = np.zeros((d,) * order) if order else 0.0
         for w, r2, r, zk in self._tensors:
@@ -651,13 +635,6 @@ class HuntDifference(_Isotropic):
     def tail_sampler(self, d, eps):
         return _RadialSampler(_HuntRadialTable(self, eps).radius, d, eps)
 
-    def j(self, x, y, d):
-        """The two-point kernel value ``J(x, y)``."""
-        r = float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
-        if r <= 0.0:
-            raise DomainError("J(x, y) requires x != y")
-        return self.c(x) * r ** (-d - self.alpha_r((r,)))
-
 
 class _HuntRadialTable:
     """Numerical inverse CDF for the radial law ``r^{-1-alpha(r)}`` on
@@ -682,21 +659,6 @@ class _HuntRadialTable:
         return np.interp(u, self.cdf, self.grid)
 
 
-def hunt_decompose(kernel, x, y, d=None):
-    """Split ``J(x, y)`` into symmetric and antisymmetric parts.
-
-    Returns ``(J, Js, Ja)`` with ``Js = (J(x,y)+J(y,x))/2`` and
-    ``Ja = (J(x,y)-J(y,x))/2``.
-    """
-    if not isinstance(kernel, HuntDifference):
-        raise TypeError("hunt_decompose requires a Hunt-difference component")
-    if d is None:
-        d = len(np.atleast_1d(x))
-    jxy = kernel.j(x, y, d)
-    jyx = kernel.j(y, x, d)
-    return jxy, 0.5 * (jxy + jyx), 0.5 * (jxy - jyx)
-
-
 # --- the composite kernel ----------------------------------------------------
 
 
@@ -713,27 +675,12 @@ class KernelSpec:
         object.__setattr__(self, "components", tuple(self.components))
 
     @property
-    def has_atoms(self):
-        return any(c.atomic for c in self.components)
-
-    @property
     def odd_symmetric(self):
         return all(c.odd_symmetric for c in self.components)
 
     def is_state_independent(self):
         return all(fn.is_constant()
                    for c in self.components for fn in c.coefficients)
-
-    def density(self, x, z):
-        """Total density at (x, z); rejects kernels with atomic parts."""
-        z = np.asarray(z, dtype=float)
-        if not np.any(z):
-            raise ValueError("density is undefined at z = 0")
-        if self.has_atoms:
-            raise AtomicKernelError(
-                "kernel contains atomic components; densities are undefined"
-            )
-        return sum(c.density(x, z, self.d) for c in self.components)
 
     def moment(self, x, power, lo, hi, order=0, components=None):
         """The sum over ``components`` (all by default) of their banded
@@ -775,19 +722,3 @@ class KernelSpec:
     def dropped_variance(self, x, eps):
         """``int_{|z| < eps} |z|^2 N(x, dz)`` lost to truncation."""
         return self.moment(x, 2, 0.0, eps)
-
-
-@dataclass(frozen=True)
-class EnvelopePair:
-    """State-free lower/upper envelope kernels for the sandwich condition."""
-
-    nu1: KernelSpec
-    nu2: KernelSpec
-
-    def __post_init__(self):
-        if self.nu1 is not None and not self.nu1.is_state_independent():
-            raise ValueError("nu1 must be state-independent")
-        if not self.nu2.is_state_independent():
-            raise ValueError("nu2 must be state-independent")
-        if self.nu1 is not None and self.nu1.d != self.nu2.d:
-            raise ValueError("envelope dimensions disagree")

@@ -35,7 +35,6 @@ __all__ = [
     "state_at",
     "states_at",
     "sample_compound_poisson_direct",
-    "auto_epsilon",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -154,23 +153,6 @@ def _rng_for_path(base_seed, path_index):
     _PATH_KEY[1] = path_index
     _PATH_BITGEN.state = _PATH_STATE
     return _PATH_GEN
-
-
-def auto_epsilon(kernel, grid_points, fraction=0.01, floor=1e-4):
-    """Largest dyadic epsilon whose truncated variance stays below
-    ``fraction`` of the second-moment trace over the grid."""
-    eps = 0.5
-    while eps > floor:
-        worst = 0.0
-        for x in grid_points:
-            trace = kernel.second_moment(x).value
-            lost = kernel.dropped_variance(x, eps).value
-            if trace > 0:
-                worst = max(worst, lost / trace)
-        if worst <= fraction:
-            return eps
-        eps *= 0.5
-    return eps
 
 
 # --- the simulator -----------------------------------------------------------

@@ -5,8 +5,8 @@ Each check sweeps a finite state grid and returns a
 numeric evidence.  A fail always carries a witness point.  Verdicts are
 relative to the grid: global suprema over all of R^d cannot be
 certified by any finite procedure, so asymptotic conditions are graded
-``advisory`` unless a closed-form sufficient condition (constant or
-Lipschitz coefficient) upgrades them.
+``advisory`` unless a closed-form sufficient condition (a constant
+coefficient) upgrades them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AtomicKernelError, DivergentIntegral, DomainError
+from .errors import DivergentIntegral, DomainError
 from .kernels import (
     BigJumpPowerLaw,
     BigJumpStretchedExp,
@@ -32,7 +32,6 @@ __all__ = [
     "default_grid",
     "check_second_moment",
     "check_zero_drift",
-    "check_envelopes",
     "check_ellipticity",
     "check_index_regularity",
     "check_big_jump_conditions",
@@ -210,70 +209,6 @@ def check_zero_drift(kernel, grid):
     )
 
 
-def check_envelopes(kernel, envelopes, grid, z_samples):
-    """Sandwich ``nu1 <= N(x, .) <= nu2`` via pointwise density domination."""
-    name = "envelopes"
-    citation = "state-free lower and upper envelope measures"
-    if kernel.has_atoms:
-        raise AtomicKernelError(
-            "envelope density comparison needs a density kernel"
-        )
-    nu1, nu2 = envelopes.nu1, envelopes.nu2
-    origin = tuple([0.0] * kernel.d)
-
-    if nu1 is None:
-        return CheckResult(
-            name, FAIL, {"error": "null lower envelope"}, citation,
-            witness=origin,
-        )
-    diag = nu1.diffusion_matrix(origin)
-    min_diag = float(np.min(np.diag(diag.a)))
-    if min_diag <= 0.0:
-        return CheckResult(
-            name, FAIL,
-            {"error": "lower envelope has a degenerate coordinate moment",
-             "min_coordinate_moment": min_diag},
-            citation, witness=origin,
-        )
-    try:
-        upper = nu2.second_moment(origin)
-    except DivergentIntegral as exc:
-        return CheckResult(
-            name, FAIL, {"error": f"nu2 second moment diverges: {exc}"},
-            citation, witness=origin,
-        )
-
-    # the envelopes are state-free: their densities are taken once per z
-    bands = [(z, nu1.density(origin, z), nu2.density(origin, z))
-             for z in z_samples]
-    if isinstance(vals := _on_grid(
-            lambda x: [kernel.density(x, z) for z in z_samples],
-            grid.points, name, citation), CheckResult):
-        return vals
-    worst_low = worst_high = 0.0
-    witness = None
-    for x, mids in zip(grid.points, vals):
-        for (z, lo, hi), mid in zip(bands, mids):
-            if lo > mid + 1e-12:
-                worst_low = max(worst_low, lo - mid)
-                witness = witness or (x, tuple(z), "below nu1")
-            if mid > hi + 1e-12:
-                worst_high = max(worst_high, mid - hi)
-                witness = witness or (x, tuple(z), "above nu2")
-    evidence = {
-        "nu1_min_coordinate_moment": min_diag,
-        "nu2_second_moment": upper.value,
-        "grid_points": len(grid.points),
-        "z_samples": len(z_samples),
-        "note": "pointwise density domination implies measure domination",
-    }
-    if witness is not None:
-        evidence["max_lower_violation"] = worst_low
-        evidence["max_upper_violation"] = worst_high
-        return CheckResult(name, FAIL, evidence, citation, witness=witness)
-    return CheckResult(name, PASS, evidence, citation)
-
-
 def check_ellipticity(kernel, grid):
     """Uniform bounds on the eigenvalues of the second-moment matrix."""
     name = "ellipticity"
@@ -319,7 +254,7 @@ def _modulus_of_continuity(vals, points, radii):
     return omega
 
 
-def check_index_regularity(alpha, grid, lipschitz_constant=None):
+def check_index_regularity(alpha, grid):
     """Range and modulus-of-continuity conditions on the order function."""
     name = "index_regularity"
     citation = "variable order bounded in (0, 2) with a Dini modulus"
@@ -355,17 +290,9 @@ def check_index_regularity(alpha, grid, lipschitz_constant=None):
         "omega": omega,
         "log_weighted_omega": loglog_decay,
         "dini_sum_estimate": dini_sum,
+        "note": "asymptotics below grid resolution are unverifiable; "
+                "grid trend reported",
     }
-    if lipschitz_constant is not None:
-        evidence["lipschitz_constant"] = lipschitz_constant
-        evidence["note"] = (
-            "Lipschitz modulus: both log-decay and Dini conditions hold"
-        )
-        return CheckResult(name, PASS, evidence, citation)
-    evidence["note"] = (
-        "asymptotics below grid resolution are unverifiable; "
-        "grid trend reported"
-    )
     return CheckResult(name, ADVISORY, evidence, citation)
 
 
@@ -518,8 +445,8 @@ def audit_cone_symmetry(component, z_samples):
 
 def run_all(kernel, grid):
     """Run every grid check that applies to ``kernel`` and collect a
-    report.  The envelope check and the cone symmetry audit need jump
-    samples ``z``; they are called on their own."""
+    report.  The cone symmetry audit needs jump samples ``z``; it is
+    called on its own."""
     report = ValidationReport()
     report.add(check_second_moment(kernel, grid))
     report.add(check_zero_drift(kernel, grid))

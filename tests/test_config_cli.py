@@ -230,12 +230,14 @@ class TestLoadConfig:
                 r"\[component\.main\] missing coefficient 'alpha'")
 
     def test_envelope_section_is_rejected(self, tmp_path):
-        # a config cannot supply the z samples that check_envelopes needs,
-        # so an [envelope] would be parsed and never checked
+        # nothing reads an [envelope]: the grid checks certify what the
+        # envelopes would, so it would be parsed and never checked
         text = GOOD + ("\n[component.upper]\nfamily = stable_like_small\n"
                        "c = 0.01\nalpha = 1.2\n\n"
                        "[envelope]\nnu2_components = upper\n")
-        with pytest.raises(ConfigError, match=r"\[envelope\]"):
+        with pytest.raises(ConfigError, match=r"\[envelope\] .* the "
+                           r"second_moment, ellipticity, big_jump and hunt "
+                           r"checks"):
             load_config(write(tmp_path, text))
 
     def test_shipped_configs_parse(self):
@@ -316,11 +318,16 @@ class TestCliExitCodes:
         ("family = stable_like_small\nc = 1.0\n"
          "alpha = 1 + 0.5*sqrt(x[1])\nalpha_bounds = 1, 2\n",
          "index_regularity", "(-2.0,)", "sqrt of negative value -2.0"),
-    ], ids=["big_jump_beta1", "hunt_c", "hunt_alpha_r", "index_alpha"])
+        ("family = big_jump_power_law\nc0 = 1\n"
+         "beta1 = 3 + exp(400*x[1])\n", "big_jump", "(2.0,)",
+         "exp of 800.0 overflows"),
+    ], ids=["big_jump_beta1", "hunt_c", "hunt_alpha_r", "index_alpha",
+            "big_jump_exp_overflow"])
     def test_coefficient_that_raises_fails_with_witness(
             self, tmp_path, body, check, witness, error):
         # the grid runs from -2 to 2: each coefficient raises first at -2,
-        # and the family check reports that point instead of crashing
+        # or at 2 where exp overflows, and the family check reports that
+        # point instead of crashing
         text = ONE_COMPONENT.format(main=body + (
             "\n[component.small]\nfamily = stable_like_small\nc = 1\n"
             "alpha = 1.5\n")).replace("components = main",

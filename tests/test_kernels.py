@@ -17,12 +17,10 @@ from jumplab.kernels import (
     BigJumpStretchedExp,
     CompoundPoissonAtoms,
     ConeRestriction,
-    EnvelopePair,
     HuntDifference,
     KernelSpec,
     StableLikeSmall,
     bass_constant,
-    hunt_decompose,
     surface_area,
 )
 
@@ -66,9 +64,9 @@ class TestBassConstant:
 class TestStableLikeSmall:
     def test_density_oracle(self):
         # closed form: c / |z|^{d+alpha} with c=1, alpha=1, d=1 at z=0.5
-        k = KernelSpec(1, (stable(),))
-        assert k.density(X0, (0.5,)) == pytest.approx(4.0, rel=1e-12)
-        assert k.density(X0, (1.5,)) == 0.0  # support is |z| < 1
+        rho = stable().radial_profile(X0, 1)
+        assert rho(0.5) == pytest.approx(4.0, rel=1e-12)
+        assert rho(1.5) == 0.0  # support is |z| < 1
 
     def test_second_moment_oracle(self):
         # closed form: c S_d / (2 - alpha) = 1*2/1 = 2
@@ -119,16 +117,17 @@ class TestStableLikeSmall:
         comp = StableLikeSmall(ONE, coeffs.constant(1.0),
                                bass_normalized=True)
         plain = stable()
-        ratio = comp.density(X0, (0.5,), 1) / plain.density(X0, (0.5,), 1)
+        ratio = (comp.radial_profile(X0, 1)(0.5)
+                 / plain.radial_profile(X0, 1)(0.5))
         assert ratio == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
 class TestBigJumpPowerLaw:
     def test_density_oracle(self):
         # closed form: c0 / |z|^{d+beta1}, beta1=3, d=1 at z=2 -> 1/16
-        k = KernelSpec(1, (power(),))
-        assert k.density(X0, (2.0,)) == pytest.approx(0.0625, rel=1e-12)
-        assert k.density(X0, (0.5,)) == 0.0  # support is |z| >= 1
+        rho = power().radial_profile(X0, 1)
+        assert rho(2.0) == pytest.approx(0.0625, rel=1e-12)
+        assert rho(0.5) == 0.0  # support is |z| >= 1
 
     def test_second_moment_oracle(self):
         # closed form: c0 S_d / (beta1 - 2) = 2
@@ -212,8 +211,9 @@ class TestCompoundPoissonAtoms:
         assert self.k.second_moment(X0).value == 0.5
 
     def test_density_raises(self):
+        # a cone restricts a density, and atoms have none
         with pytest.raises(AtomicKernelError):
-            self.k.density(X0, (0.5,))
+            ConeRestriction(self.comp, FirstCoordinatePositive())
 
     def test_odd_symmetry_detected(self):
         assert self.comp.odd_symmetric
@@ -311,10 +311,20 @@ class TestConeRestriction:
 
 
 class TestHuntDifference:
+    @staticmethod
+    def decompose(comp, x, y):
+        """``(J, Js, Ja)`` at ``(x, y)``: ``J(x, y)`` is the density at
+        ``x`` of the jump ``|y - x|``, and ``Js``, ``Ja`` are its
+        symmetric and antisymmetric parts."""
+        r = abs(y[0] - x[0])
+        jxy = comp.radial_profile(x, 1)(r)
+        jyx = comp.radial_profile(y, 1)(r)
+        return jxy, 0.5 * (jxy + jyx), 0.5 * (jxy - jyx)
+
     def test_decomposition_oracle(self):
         # closed form: c=1, alpha(r)=1, d=1: J(x,y) = c(x)/|x-y|^2
         comp = HuntDifference(ONE, coeffs.constant(1.0))
-        J, Js, Ja = hunt_decompose(comp, (0.0,), (0.5,))
+        J, Js, Ja = self.decompose(comp, (0.0,), (0.5,))
         assert J == pytest.approx(4.0, rel=1e-12)
         assert Js == pytest.approx(4.0, rel=1e-12)
         assert Ja == pytest.approx(0.0, abs=1e-12)
@@ -322,13 +332,13 @@ class TestHuntDifference:
     def test_antisymmetric_part(self):
         c = coeffs.inverse_quadratic_bump(1.0, 1.0)  # c(0)=2, c(0.5)=1.8
         comp = HuntDifference(c, coeffs.constant(1.0))
-        J, Js, Ja = hunt_decompose(comp, (0.0,), (0.5,))
+        J, Js, Ja = self.decompose(comp, (0.0,), (0.5,))
         # J = c(0)*4 = 8, J(y,x) = c(0.5)*4 = 7.2
         assert J == pytest.approx(8.0, rel=1e-12)
         assert Js == pytest.approx(7.6, rel=1e-12)
         assert Ja == pytest.approx(0.4, rel=1e-12)
         # antisymmetry of the antisymmetric part
-        _, _, Ja_rev = hunt_decompose(comp, (0.5,), (0.0,))
+        _, _, Ja_rev = self.decompose(comp, (0.5,), (0.0,))
         assert Ja_rev == pytest.approx(-Ja, rel=1e-12)
 
     def test_constant_alpha_second_moment_diverges(self):
@@ -384,19 +394,6 @@ class TestKernelSpecInvariants:
         bump = StableLikeSmall(coeffs.inverse_quadratic_bump(1.0, 0.5),
                                coeffs.constant(1.0))
         assert not KernelSpec(1, (bump,)).is_state_independent()
-
-
-class TestEnvelopePair:
-    def test_requires_state_independent(self):
-        bump = StableLikeSmall(coeffs.inverse_quadratic_bump(1.0, 0.5),
-                               coeffs.constant(1.0))
-        with pytest.raises(ValueError):
-            EnvelopePair(None, KernelSpec(1, (bump,)))
-
-    def test_accepts_constant_kernels(self):
-        pair = EnvelopePair(KernelSpec(1, (stable(0.5),)),
-                            KernelSpec(1, (stable(2.0),)))
-        assert pair.nu2 is not None
 
 
 class TestSurfaceAreaCache:

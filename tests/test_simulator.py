@@ -22,7 +22,6 @@ from jumplab.kernels import (
 from jumplab.simulator import (
     SimConfig,
     ThinningSimulator,
-    auto_epsilon,
     read_path_csv,
     sample_compound_poisson_direct,
     simulate_ensemble,
@@ -387,15 +386,6 @@ class TestDroppedVariance:
         var_subst = np.var([state_at(p, 1.0)[0] for p in subst.paths])
         # substitution adds back roughly the dropped 0.6 of variance
         assert var_subst - var_drop == pytest.approx(0.6, rel=0.25)
-
-
-class TestAutoEpsilon:
-    def test_hits_target_fraction(self):
-        k = stable_kernel()
-        eps = auto_epsilon(k, [(0.0,)], fraction=0.01)
-        dropped = k.dropped_variance((0.0,), eps).value
-        total = k.second_moment((0.0,)).value
-        assert dropped / total <= 0.01 + 1e-9
 
 
 class TestJumpCap:

@@ -1,6 +1,7 @@
 """Project tooling: the benchmark's tracer against the library it
-instruments, a guard against dead code in the library, and a count of
-the coefficient evaluations that loading a config makes."""
+instruments, guards against dead code and against checks that no config
+reaches, and a count of the coefficient evaluations that loading a
+config makes."""
 
 import ast
 import json
@@ -51,6 +52,34 @@ print(json.dumps({"checks": tracer._CHECKS, "calls": t.calls}))
         "kernels.diffusion_matrix"}
     assert len(got["checks"]) == 4
     assert want <= set(got["calls"])
+
+
+def test_run_all_reaches_every_check(monkeypatch):
+    # a check that run_all never calls is reachable from Python alone:
+    # one kernel with a part of every family that has its own checks
+    # must reach every check_* that validators exports
+    from jumplab import coeffs, kernels, validators
+
+    checks = {name for name in validators.__all__
+              if name.startswith("check_")}
+    called = set()
+    for name in checks:
+        def recorded(*args, _name=name, _check=getattr(validators, name)):
+            called.add(_name)
+            return _check(*args)
+
+        monkeypatch.setattr(validators, name, recorded)
+    bump = coeffs.inverse_quadratic_bump
+    kernel = kernels.KernelSpec(1, (
+        kernels.StableLikeSmall(bump(1.0, 0.5), bump(1.0, 0.5)),
+        kernels.BigJumpPowerLaw(bump(1.0, 0.5), coeffs.constant(3.0)),
+        kernels.BigJumpStretchedExp(bump(1.0, 0.3), 1.0,
+                                    coeffs.constant(0.5)),
+        kernels.HuntDifference(bump(1.0, 0.3), coeffs.from_source(
+            "0.5 + 2*clamp(r, 0, 1)", 0.5, 2.5)),
+    ))
+    validators.run_all(kernel, validators.default_grid(1, 2.0, 5))
+    assert called == checks
 
 
 def _read_names(tree):

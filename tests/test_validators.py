@@ -9,13 +9,11 @@ import pytest
 
 from jumplab import coeffs
 from jumplab.config import PREDICATES
-from jumplab.errors import AtomicKernelError
 from jumplab.kernels import (
     BigJumpPowerLaw,
     BigJumpStretchedExp,
     CompoundPoissonAtoms,
     ConeRestriction,
-    EnvelopePair,
     HuntDifference,
     KernelSpec,
     StableLikeSmall,
@@ -28,7 +26,6 @@ from jumplab.validators import (
     audit_cone_symmetry,
     check_big_jump_conditions,
     check_ellipticity,
-    check_envelopes,
     check_hunt_conditions,
     check_index_regularity,
     check_second_moment,
@@ -152,12 +149,6 @@ class TestIndexRegularity:
         assert omega[-1] <= omega[0]
         assert res.evidence["dini_sum_estimate"] < float("inf")
 
-    def test_lipschitz_hint_upgrades_to_pass(self):
-        alpha = coeffs.inverse_quadratic_bump(1.0, 0.5)
-        res = check_index_regularity(alpha, small_grid(),
-                                     lipschitz_constant=0.65)
-        assert res.verdict == PASS
-
 
 class TestBigJump:
     def test_power_law_pass(self):
@@ -202,34 +193,6 @@ class TestHunt:
         assert res.verdict == FAIL
 
 
-class TestEnvelopes:
-    def test_sandwiched_kernel_passes(self):
-        c = coeffs.inverse_quadratic_bump(1.0, 0.5)  # c in (1, 1.5]
-        k = KernelSpec(1, (StableLikeSmall(c, coeffs.constant(1.0)),))
-        env = EnvelopePair(KernelSpec(1, (stable(0.9),)),
-                           KernelSpec(1, (stable(1.6),)))
-        zs = [(z,) for z in np.linspace(-0.95, 0.95, 41) if abs(z) > 0.01]
-        res = check_envelopes(k, env, small_grid(), zs)
-        assert res.verdict == PASS
-
-    def test_violated_upper_envelope(self):
-        k = KernelSpec(1, (stable(2.0),))
-        env = EnvelopePair(KernelSpec(1, (stable(0.5),)),
-                           KernelSpec(1, (stable(1.0),)))
-        zs = [(0.5,), (-0.25,)]
-        res = check_envelopes(k, env, small_grid(), zs)
-        assert res.verdict == FAIL
-        assert res.witness is not None
-
-    def test_atomic_kernel_rejected(self):
-        atoms = CompoundPoissonAtoms(((1.0, (0.5,)),))
-        k = KernelSpec(1, (atoms,))
-        env = EnvelopePair(KernelSpec(1, (stable(0.5),)),
-                           KernelSpec(1, (stable(1.0),)))
-        with pytest.raises(AtomicKernelError):
-            check_envelopes(k, env, small_grid(), [(0.5,)])
-
-
 class _SymmetricButNot:
     symmetric = True
 
@@ -251,21 +214,18 @@ def _raising(source):
                            coeffs.constant(1.5))
 
 
-ENVELOPES = EnvelopePair(KernelSpec(1, (stable(0.5),)),
-                         KernelSpec(1, (stable(3.0),)))
-
-
 class TestCoefficientThatRaises:
-    # x[2] does not exist in 1-d, and sqrt(x[1]) raises for x < 0: each
-    # check reports the first grid point, -2, instead of raising
+    # x[2] does not exist in 1-d (IndexError), and sqrt(x[1]) raises
+    # DomainError for x < 0: each check reports the first grid point, -2,
+    # instead of raising
     @pytest.mark.parametrize("check, comp", [
         (check_second_moment, _raising("1 + x[2]")),
         (check_ellipticity, _raising("1 + x[2]")),
         (check_zero_drift, ConeRestriction(
             _raising("1 + x[2]"), PREDICATES["first_positive"]())),
-        (lambda k, g: check_envelopes(k, ENVELOPES, g, [(0.5,), (-0.25,)]),
-         _raising("1 + sqrt(x[1])")),
-    ], ids=["second_moment", "ellipticity", "zero_drift", "envelopes"])
+        (check_second_moment, _raising("1 + sqrt(x[1])")),
+    ], ids=["second_moment", "ellipticity", "zero_drift",
+            "second_moment_sqrt"])
     def test_fails_with_witness(self, check, comp):
         res = check(KernelSpec(1, (comp,)), small_grid(extent=2.0, n=5))
         assert res.verdict == FAIL
