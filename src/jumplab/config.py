@@ -46,7 +46,7 @@ from .kernels import (
     KernelSpec,
     StableLikeSmall,
 )
-from .simulator import DROP, GAUSSIAN, SimConfig
+from .simulator import SimConfig
 from .validators import StateGrid, default_grid
 
 __all__ = ["ExperimentConfig", "load_config", "config_hash"]
@@ -349,9 +349,6 @@ def load_config(path):
     x0 = _floats(parser.get("sim", "x0", fallback="0"), None, "sim", "x0")
     if len(x0) != d:
         _fail("sim", f"x0 has {len(x0)} coordinates, d={d}")
-    mode = parser.get("sim", "small_jump_mode", fallback=DROP).strip()
-    if mode not in (DROP, GAUSSIAN):
-        _fail("sim", f"unknown small_jump_mode {mode!r}")
     try:
         sim = SimConfig(
             t_end=_typed(parser, "sim", "t_end", "float"),
@@ -360,7 +357,6 @@ def load_config(path):
             dominating_rate_margin=_typed(parser, "sim", "margin", "float",
                                           1.5),
             max_jumps=_typed(parser, "sim", "max_jumps", "int", 10_000_000),
-            small_jump_mode=mode,
         )
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from exc

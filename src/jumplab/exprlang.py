@@ -375,6 +375,15 @@ def _exp(v):
         raise DomainError(f"exp of {v} overflows") from exc
 
 
+def _trig(fn):
+    def guarded(v):
+        try:
+            return fn(v)
+        except ValueError as exc:  # an infinite argument
+            raise DomainError(f"{fn.__name__} of {v} is undefined") from exc
+    return guarded
+
+
 def _log(v):
     if v <= 0.0:
         raise DomainError(f"log of non-positive value {v}")
@@ -393,8 +402,9 @@ def _clamp(v, lo, hi):
 
 _OPERATIONS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "exp": _exp, "log": _log, "sin": math.sin, "cos": math.cos,
-    "sqrt": _sqrt, "abs": abs, "min": min, "max": max, "clamp": _clamp,
+    "exp": _exp, "log": _log, "sqrt": _sqrt,
+    "sin": _trig(math.sin), "cos": _trig(math.cos),
+    "abs": abs, "min": min, "max": max, "clamp": _clamp,
 }
 
 

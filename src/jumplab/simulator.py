@@ -5,10 +5,10 @@ Jumps of size ``|z| >= epsilon`` arrive with state-dependent total rate
 clock at a dominating rate (grid supremum times a safety margin) and
 accepted with probability ``rate(x) / dominating_rate``; accepted jumps
 are drawn from the normalized tail kernel at the current state.  Jumps
-below epsilon are dropped by default (their compensated drift vanishes
-for symmetric components) and the lost variance fraction is recorded;
-an opt-in mode substitutes Gaussian increments with matched covariance
-and flags the path as approximate.
+below epsilon are dropped and never replaced (their compensated drift
+vanishes for symmetric components): the simulated process is the
+pure-jump process of the truncated kernel, and each path records the
+time-weighted fraction of the second moment that the truncation drops.
 
 Reproducibility: path ``i`` of an ensemble with base seed ``s`` uses a
 counter-based Philox stream keyed by ``(s, i)``, so ensembles are
@@ -17,8 +17,7 @@ bit-identical across platforms and worker counts.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +38,6 @@ __all__ = [
     "read_path_csv",
 ]
 
-DROP = "drop"
-GAUSSIAN = "gaussian_substitute"
-_GAUSS_SUBSTEPS = 64
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -51,7 +46,6 @@ class SimConfig:
     base_seed: int
     dominating_rate_margin: float = 1.5
     max_jumps: int = 10_000_000
-    small_jump_mode: str = DROP
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -62,8 +56,6 @@ class SimConfig:
             raise ValueError("dominating_rate_margin must be >= 1")
         if self.max_jumps <= 0:
             raise ValueError("max_jumps must be positive")
-        if self.small_jump_mode not in (DROP, GAUSSIAN):
-            raise ValueError(f"unknown small_jump_mode {self.small_jump_mode}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,6 @@ class Path:
     dropped_variance_fraction: float
     seed: tuple
     epsilon: float
-    approximate: bool = False
 
     @property
     def d(self):
@@ -242,14 +233,8 @@ class ThinningSimulator:
         else:
             times, jumps = self._path_sequential(rng, x0)
         frac = self._average_dropped_fraction(x0, times, jumps)
-        path = Path(
-            x0, cfg.t_end, times, jumps, frac,
-            (cfg.base_seed, path_index), cfg.epsilon,
-            approximate=cfg.small_jump_mode == GAUSSIAN,
-        )
-        if cfg.small_jump_mode == GAUSSIAN:
-            path = self._substitute_gaussian(rng, path)
-        return path
+        return Path(x0, cfg.t_end, times, jumps, frac,
+                    (cfg.base_seed, path_index), cfg.epsilon)
 
     def _path_state_independent(self, rng, x0, t_end):
         # Draw order, which the frozen LIL band depends on: proposal
@@ -350,27 +335,6 @@ class ThinningSimulator:
         fracs = np.array([self._dropped_fraction(s) for s in states])
         return float(np.dot(holds, fracs) / t_end)
 
-    def _substitute_gaussian(self, rng, path):
-        """Replace the dropped small-jump part by Brownian increments
-        with matched covariance on a fixed substep grid."""
-        cfg = self.config
-        d = self.kernel.d
-        grid = np.linspace(0.0, cfg.t_end, _GAUSS_SUBSTEPS + 1)
-        mids = 0.5 * (grid[1:] + grid[:-1])
-        states = states_at(path, mids)
-        incs = [rng.standard_normal(d) * math.sqrt(
-            self.kernel.dropped_variance(x, cfg.epsilon).value / d * dt)
-            for x, dt in zip(states, np.diff(grid))]
-        all_times = np.concatenate([path.jump_times, mids])
-        all_jumps = np.vstack([path.jump_vectors.reshape(-1, d), incs])
-        order = np.argsort(all_times, kind="stable")
-        return replace(
-            path,
-            jump_times=all_times[order],
-            jump_vectors=all_jumps[order],
-            approximate=True,
-        )
-
     def ensemble(self, x0, n_paths, jobs=1):
         if n_paths <= 0:
             raise ValueError("n_paths must be positive")
@@ -459,8 +423,7 @@ def write_path_csv(path, stream):
     stream.write(f"# seed={path.seed[0]},{path.seed[1]}\n")
     stream.write(f"# epsilon={_fmt(path.epsilon)}\n")
     stream.write(f"# t_end={_fmt(path.t_end)}\n")
-    mode = GAUSSIAN if path.approximate else DROP
-    stream.write(f"# mode={mode}\n")
+    stream.write("# mode=drop\n")  # jumps below epsilon are dropped
     stream.write(
         f"# dropped_variance_fraction={_fmt(path.dropped_variance_fraction)}\n"
     )
@@ -488,6 +451,9 @@ def read_path_csv(stream):
         parts = line.split(",")
         times.append(float(parts[0]))
         jumps.append([float(p) for p in parts[1:]])
+    if meta.get("mode") != "drop":
+        raise ValueError(f"path file has mode={meta.get('mode')}; "
+                         "only mode=drop is simulated")
     d = int(meta["d"])
     x0 = np.array([float(v) for v in meta["x0"].split(",")])
     seed = tuple(int(v) for v in meta["seed"].split(","))
@@ -499,5 +465,4 @@ def read_path_csv(stream):
         float(meta["dropped_variance_fraction"]),
         seed,
         float(meta["epsilon"]),
-        approximate=meta.get("mode") == GAUSSIAN,
     )

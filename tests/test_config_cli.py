@@ -321,13 +321,17 @@ class TestCliExitCodes:
         ("family = big_jump_power_law\nc0 = 1\n"
          "beta1 = 3 + exp(400*x[1])\n", "big_jump", "(2.0,)",
          "exp of 800.0 overflows"),
+        ("family = big_jump_power_law\nc0 = 1\n"
+         "beta1 = 3 + sin(1e400*x[1])\n", "big_jump", "(-2.0,)",
+         "sin of -inf is undefined"),
     ], ids=["big_jump_beta1", "hunt_c", "hunt_alpha_r", "index_alpha",
-            "big_jump_exp_overflow"])
+            "big_jump_exp_overflow", "big_jump_sin_of_inf"])
     def test_coefficient_that_raises_fails_with_witness(
             self, tmp_path, body, check, witness, error):
         # the grid runs from -2 to 2: each coefficient raises first at -2,
         # or at 2 where exp overflows, and the family check reports that
-        # point instead of crashing
+        # point instead of crashing; 1e400 reads as inf, so sin's argument
+        # at -2 is -inf
         text = ONE_COMPONENT.format(main=body + (
             "\n[component.small]\nfamily = stable_like_small\nc = 1\n"
             "alpha = 1.5\n")).replace("components = main",
@@ -508,8 +512,10 @@ class TestCliExitCodes:
         ("lil_compound_poisson", "coverage = 0.9",
          "coverage = 0.9\ntail_lower_bound = 0.5",
          "[analysis.lil] unknown key 'tail_lower_bound'"),
+        ("stable_like_d1", "x0 = 0.0", "x0 = 0.0\nsmall_jump_mode = drop",
+         "[sim] unknown key 'small_jump_mode'"),
     ], ids=["rtol", "x0", "bass_normalized", "lambda", "coverage",
-            "tail_lower_bound"])
+            "tail_lower_bound", "small_jump_mode"])
     def test_unread_key(self, tmp_path, capsys, config, old, new, message):
         # a mistyped key would otherwise fall back to its default silently
         shipped = (CONFIGS / f"{config}.cfg").read_text()

@@ -73,6 +73,11 @@ class TestEvaluation:
             ev("sqrt(-1)")
         with pytest.raises(DomainError):
             ev("(-1)^0.5")
+        # 1e400 reads as inf, where math.sin and math.cos raise ValueError
+        with pytest.raises(DomainError):
+            ev("sin(1e400)")
+        with pytest.raises(DomainError):
+            ev("cos(-1e400)")
 
     def test_coordinate_out_of_range(self):
         with pytest.raises(IndexError):

@@ -359,33 +359,6 @@ class TestDroppedVariance:
             # closed form: dropped variance fraction = eps = 0.01 for alpha=1
             assert p.dropped_variance_fraction == pytest.approx(0.01,
                                                                 rel=1e-6)
-            assert not p.approximate
-
-    def test_gaussian_substitute_marks_approximate(self):
-        k = stable_kernel()
-        ens = simulate_ensemble(
-            k, (0.0,),
-            cfg(epsilon=0.1, base_seed=5,
-                small_jump_mode="gaussian_substitute"),
-            3,
-        )
-        for p in ens.paths:
-            assert p.approximate
-
-    def test_gaussian_substitute_restores_variance(self):
-        k = stable_kernel()
-        n = 4000
-        drop = simulate_ensemble(k, (0.0,), cfg(epsilon=0.3, base_seed=8), n)
-        subst = simulate_ensemble(
-            k, (0.0,),
-            cfg(epsilon=0.3, base_seed=8,
-                small_jump_mode="gaussian_substitute"),
-            n,
-        )
-        var_drop = np.var([state_at(p, 1.0)[0] for p in drop.paths])
-        var_subst = np.var([state_at(p, 1.0)[0] for p in subst.paths])
-        # substitution adds back roughly the dropped 0.6 of variance
-        assert var_subst - var_drop == pytest.approx(0.6, rel=0.25)
 
 
 class TestJumpCap:
@@ -410,6 +383,13 @@ class TestCsv:
         assert q.seed == p.seed
         assert np.array_equal(q.jump_times, p.jump_times)
         assert np.array_equal(q.jump_vectors, p.jump_vectors)
+        # dropped small jumps are the one mode, still named in the header,
+        # and a file that names another is refused
+        text = buf.getvalue()
+        assert "# mode=drop\n" in text
+        with pytest.raises(ValueError, match="gaussian_substitute"):
+            read_path_csv(io.StringIO(text.replace(
+                "# mode=drop", "# mode=gaussian_substitute")))
 
     def test_shortest_round_trip_floats(self):
         p = simulate_path(stable_kernel(), (0.0,), cfg(), path_index=0)

@@ -1,11 +1,12 @@
 """Project tooling: the benchmark's tracer against the library it
-instruments, guards against dead code and against checks that no config
-reaches, and a count of the coefficient evaluations that loading a
-config makes."""
+instruments, guards against dead code, against checks that no config
+reaches and against config keys that no document names, and a count of
+the coefficient evaluations that loading a config makes."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,3 +155,30 @@ def test_loading_a_config_evaluates_no_coefficient(monkeypatch):
     for path in configs:
         config.load_config(path)
     assert calls == []
+
+
+def test_every_config_key_is_named(monkeypatch):
+    # a key the loader asks for that README.md never names and no shipped
+    # config sets is an option only the source shows
+    from jumplab import config
+
+    parsers = []
+
+    class Recorded(config._Parser):
+        def __init__(self):
+            super().__init__()
+            parsers.append(self)
+
+    monkeypatch.setattr(config, "_Parser", Recorded)
+    for path in sorted((ROOT / "configs").glob("*.cfg")):
+        config.load_config(path)
+    asked = {key for p in parsers for keys in p.asked.values()
+             for key in keys}
+    shipped = {key for p in parsers for section in p.sections()
+               for key in p.options(section)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    # README names every coefficient's bounds at once, as `*_bounds`
+    named = set(re.findall(r"`([\w*]+)", readme))
+    hidden = sorted(key for key in asked - shipped if key not in named
+                    and not (key.endswith("_bounds") and "*_bounds" in named))
+    assert hidden == []
