@@ -75,13 +75,17 @@ def _write_csv(files, path, header, rows):
 
 
 # --- analyses ----------------------------------------------------------------
+#
+# Each analysis is a generator: it yields the reduction over the paths
+# that it needs, is sent the reduction's result, and returns
+# ``(passed, detail)`` after writing its reports.
 
 
-def _an_martingale(cfg, ens, spec, dirs, files):
+def _an_martingale(cfg, spec, dirs, files):
     t = spec.params["t"]
     # the report at t and the plot's 20 times share one pass over paths
     times = np.linspace(t / 20.0, t, 20)
-    series = estimators.martingale_series(ens, [*times, t])
+    series = yield estimators.martingale_reduction([*times, t])
     rep = series.pop()
     _write_csv(files, dirs["reports"] / "martingale.csv",
                "coordinate,mean,se,z_score",
@@ -104,10 +108,10 @@ def _an_martingale(cfg, ens, spec, dirs, files):
     return rep.passed, f"z_max = {np.max(np.abs(rep.z_scores)):.3f}"
 
 
-def _an_moment_identity(cfg, ens, spec, dirs, files):
+def _an_moment_identity(cfg, spec, dirs, files):
     t = spec.params["t"]
     rtol = spec.params["rtol"]
-    rep = estimators.second_moment_identity(ens, cfg.kernel, t)
+    rep = yield estimators.moment_identity_reduction(cfg.kernel, t)
     _write_csv(files, dirs["reports"] / "moment_identity.csv",
                "coordinate,sample_second_moment,se,"
                "predictable_integral,relative_difference",
@@ -121,9 +125,9 @@ def _an_moment_identity(cfg, ens, spec, dirs, files):
                 f"{np.max(np.abs(rep.relative_difference)):.4f}")
 
 
-def _an_qv(cfg, ens, spec, dirs, files):
+def _an_qv(cfg, spec, dirs, files):
     t = spec.params["t"]
-    rep = estimators.qv_comparison(ens, cfg.kernel, t)
+    rep = yield estimators.qv_reduction(cfg.kernel, t)
     d = cfg.kernel.d
     _write_csv(files, dirs["reports"] / "qv.csv",
                "i,j,realized_mean,predictable_mean,diff_mean,diff_se,z_score",
@@ -147,10 +151,10 @@ def _an_qv(cfg, ens, spec, dirs, files):
     return rep.passed, f"z_max = {np.max(np.abs(rep.z_scores)):.3f}"
 
 
-def _an_generator(cfg, ens, spec, dirs, files):
+def _an_generator(cfg, spec, dirs, files):
     t = spec.params["t"]
     fname = spec.params["function"]
-    rep = estimators.generator_martingale_test(ens, cfg.kernel, fname, t)
+    rep = yield estimators.generator_reduction(cfg.kernel, fname, t)
     _write_csv(files, dirs["reports"] / "generator.csv",
                "function,t,mean,se,z_score",
                [(rep.function, (rep.t, rep.mean, rep.se, rep.z_score))])
@@ -162,7 +166,7 @@ def _calibrated_band():
     return json.loads(data.read_text(encoding="utf-8"))
 
 
-def _an_lil(cfg, ens, spec, dirs, files):
+def _an_lil(cfg, spec, dirs, files):
     t_end = cfg.sim.t_end
     t0 = spec.params["t_start"]
     checkpoints = []
@@ -171,8 +175,8 @@ def _an_lil(cfg, ens, spec, dirs, files):
         checkpoints.append(t)
         t *= 2.0
     checkpoints.append(t_end)
-    rep = estimators.lil_statistics(ens, spec.params["direction"],
-                                    checkpoints, cfg.kernel)
+    rep = yield estimators.lil_reduction(spec.params["direction"],
+                                         checkpoints, cfg.kernel)
     band = spec.params["band"]
     if band is None:
         cal = _calibrated_band()
@@ -215,6 +219,10 @@ _ANALYSES = {
 
 # --- the pipeline ------------------------------------------------------------
 
+# A block of paths is sized to about this many proposals; simulate and
+# analyze hold one block at a time.
+_BLOCK_PROPOSALS = 2**20
+
 
 def _run(cfg, args):
     """Validate, then simulate, then analyze; each command stops after its
@@ -254,23 +262,44 @@ def _stages(cfg, args, dirs, files):
     # the paths start at x0, so the dominating rate must cover it
     sim = ThinningSimulator(cfg.kernel, sim_cfg,
                             rate_grid=cfg.grid.points + (cfg.x0,))
-    ens = sim.ensemble(cfg.x0, cfg.n_paths, jobs=args.jobs)
-    if cfg.write_paths:
-        width = len(str(cfg.n_paths - 1))
-        for k, p in enumerate(ens.paths):
-            f = dirs["paths"] / f"path_{k:0{width}d}.csv"
-            with open(f, "w", encoding="utf-8", newline="") as fh:
-                write_path_csv(p, fh)
-            files.append(f)
+    analyses = [] if command == "simulate" else [
+        _ANALYSES[spec.name](cfg, spec, dirs, files) for spec in cfg.analyses]
+    reductions = [next(analysis) for analysis in analyses]
+    # lambda_bar * t_end proposals a path, and a path for each worker
+    per_block = max(args.jobs, int(_BLOCK_PROPOSALS // max(
+        sim.dominating_rate * sim_cfg.t_end, 1.0)))
+    width = len(str(cfg.n_paths - 1))
+    total = 0
+    results = []
+    for start in range(0, cfg.n_paths, per_block):
+        last = start + per_block >= cfg.n_paths
+        paths = sim.ensemble(cfg.x0, min(per_block, cfg.n_paths - start),
+                             jobs=args.jobs, start=start).paths
+        for k, p in enumerate(paths, start):
+            total += p.n_jumps
+            if cfg.write_paths:
+                f = dirs["paths"] / f"path_{k:0{width}d}.csv"
+                with open(f, "w", encoding="utf-8", newline="") as fh:
+                    write_path_csv(p, fh)
+                files.append(f)
+        for reduction in reductions:
+            reduction.feed(paths)
+            # each result before the next step: a block is held with the
+            # rows of one analysis at a time
+            if last:
+                results.append(reduction.result())
+        del paths, p  # before the next block is simulated
     if command == "simulate":
-        total = sum(p.n_jumps for p in ens.paths)
-        print(f"simulated {ens.n_paths} paths, {total} jumps")
+        print(f"simulated {cfg.n_paths} paths, {total} jumps")
         return 0
 
     any_failed = False
     summary_lines = []
-    for spec in cfg.analyses:
-        ok, detail = _ANALYSES[spec.name](cfg, ens, spec, dirs, files)
+    for spec, analysis, result in zip(cfg.analyses, analyses, results):
+        try:
+            analysis.send(result)
+        except StopIteration as done:
+            ok, detail = done.value
         verdict = "PASS" if ok else "FAIL"
         line = f"{verdict:9s} {spec.name}: {detail}"
         print(line)
@@ -304,7 +333,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     try:
         cfg = load_config(args.config)
         return _run(cfg, args)

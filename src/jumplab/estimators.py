@@ -32,6 +32,12 @@ __all__ = [
     "generator_martingale_test",
     "lil_statistics",
     "predictable_integral",
+    "Reduction",
+    "martingale_reduction",
+    "moment_identity_reduction",
+    "qv_reduction",
+    "generator_reduction",
+    "lil_reduction",
 ]
 
 EE = math.e**math.e  # loglog turns positive above e^e
@@ -217,6 +223,31 @@ def _mean_se(samples):
     return mean, se, z
 
 
+class Reduction:
+    """An estimator as a reduction over blocks of consecutive paths.
+
+    ``step(paths)`` turns a block into a tuple of arrays with one row
+    per path; ``final(rows)`` turns those arrays, stacked over the blocks
+    in path order, into the report.  So the report does not depend on
+    how the paths were split into blocks.
+    """
+
+    def __init__(self, step, final):
+        self.step, self.final, self.blocks = step, final, []
+
+    def feed(self, paths):
+        self.blocks.append(self.step(paths))
+        return self
+
+    def result(self):
+        """The report over every path fed so far, whose rows the
+        reduction then drops; one block's rows are not copied."""
+        blocks, self.blocks = self.blocks, []
+        if len(blocks) == 1:
+            return self.final(blocks.pop())
+        return self.final(tuple(map(np.concatenate, zip(*blocks))))
+
+
 def martingale_test(ensemble, t):
     """Per-coordinate z-test of ``E[X_t - x0] = 0``."""
     return martingale_series(ensemble, [t])[0]
@@ -229,29 +260,49 @@ def martingale_series(ensemble, times):
     :func:`states_at` call; the reduction at ``times[j]`` sees exactly
     the values a separate :func:`martingale_test` call would.
     """
-    paths = ensemble.paths
-    if not paths:
-        raise ValueError("empty ensemble")
-    # preallocated: stacking per-path arrays would hold the data twice
-    deltas = np.empty((len(times), len(paths), paths[0].d))
-    for k, p in enumerate(paths):
-        deltas[:, k] = states_at(p, times) - p.x0
-    return [MartingaleReport(t, len(paths), *_mean_se(delta))
-            for t, delta in zip(times, deltas)]
+    return martingale_reduction(times).feed(ensemble.paths).result()
+
+
+def martingale_reduction(times):
+    """:func:`martingale_series` as a :class:`Reduction`."""
+    def step(paths):
+        if not paths:
+            raise ValueError("empty ensemble")
+        # preallocated: stacking per-path arrays would hold the data twice
+        deltas = np.empty((len(times), len(paths), paths[0].d))
+        for k, p in enumerate(paths):
+            deltas[:, k] = states_at(p, times) - p.x0
+        return tuple(deltas)  # one (n_paths, d) array per time
+
+    def final(rows):
+        return [MartingaleReport(t, len(rows[0]), *_mean_se(delta))
+                for t, delta in zip(times, rows)]
+
+    return Reduction(step, final)
 
 
 def second_moment_identity(ensemble, kernel, t):
     """Sample second moment against the predictable integral."""
-    paths = ensemble.paths
-    deltas = np.array([states_at(p, [t])[0] - p.x0 for p in paths])
-    lhs_samples = deltas**2
-    lhs, lhs_se, _ = _mean_se(lhs_samples)
-    A = _integrated_a(paths, kernel, [t])[:, 0]
-    # contiguous rows: a strided mean would sum in another order
-    rhs = np.diagonal(A, axis1=1, axis2=2).T.copy().mean(axis=1)
-    denom = np.where(np.abs(rhs) > 0, np.abs(rhs), 1.0)
-    rel = (lhs - rhs) / denom
-    return MomentIdentityReport(t, len(paths), lhs, lhs_se, rhs, rel)
+    return moment_identity_reduction(kernel, t).feed(ensemble.paths).result()
+
+
+def moment_identity_reduction(kernel, t):
+    """:func:`second_moment_identity` as a :class:`Reduction`."""
+    def step(paths):
+        deltas = np.array([states_at(p, [t])[0] - p.x0 for p in paths])
+        A = _integrated_a(paths, kernel, [t])[:, 0]
+        return deltas, np.diagonal(A, axis1=1, axis2=2)
+
+    def final(rows):
+        deltas, diagonal = rows
+        lhs, lhs_se, _ = _mean_se(deltas**2)
+        # contiguous rows: a strided mean would sum in another order
+        rhs = diagonal.T.copy().mean(axis=1)
+        denom = np.where(np.abs(rhs) > 0, np.abs(rhs), 1.0)
+        rel = (lhs - rhs) / denom
+        return MomentIdentityReport(t, len(deltas), lhs, lhs_se, rhs, rel)
+
+    return Reduction(step, final)
 
 
 def qv_comparison(ensemble, kernel, t):
@@ -259,25 +310,37 @@ def qv_comparison(ensemble, kernel, t):
 
     Raises :class:`RangeError` if ``t`` lies past a path's ``t_end``.
     """
-    paths = ensemble.paths
+    return qv_reduction(kernel, t).feed(ensemble.paths).result()
+
+
+def qv_reduction(kernel, t):
+    """:func:`qv_comparison` as a :class:`Reduction`."""
     d = kernel.d
-    n = len(paths)
-    realized = np.zeros((n, d, d))
-    predictable = _integrated_a(paths, kernel, [t])[:, 0]
-    for k, p in enumerate(paths):
-        cut = int(np.searchsorted(p.jump_times, t, side="right"))
-        zs = p.jump_vectors[:cut]
-        if len(zs):
-            realized[k] = zs.T @ zs
-    mean, se, z = _mean_se((realized - predictable).reshape(n, -1))
-    return QVReport(
-        t, n,
-        realized.mean(axis=0),
-        predictable.mean(axis=0),
-        mean.reshape(d, d),
-        se.reshape(d, d),
-        z.reshape(d, d),
-    )
+
+    def step(paths):
+        realized = np.zeros((len(paths), d, d))
+        predictable = _integrated_a(paths, kernel, [t])[:, 0]
+        for k, p in enumerate(paths):
+            cut = int(np.searchsorted(p.jump_times, t, side="right"))
+            zs = p.jump_vectors[:cut]
+            if len(zs):
+                realized[k] = zs.T @ zs
+        return realized, predictable
+
+    def final(rows):
+        realized, predictable = rows
+        n = len(realized)
+        mean, se, z = _mean_se((realized - predictable).reshape(n, -1))
+        return QVReport(
+            t, n,
+            realized.mean(axis=0),
+            predictable.mean(axis=0),
+            mean.reshape(d, d),
+            se.reshape(d, d),
+            z.reshape(d, d),
+        )
+
+    return Reduction(step, final)
 
 
 def apply_generator(kernel, u, x):
@@ -297,27 +360,37 @@ def apply_generator(kernel, u, x):
 
 def generator_martingale_test(ensemble, kernel, u, t):
     """z-test of ``E[u(X_t) - u(x0) - int_0^t Lu(X_s) ds] = 0``."""
+    return generator_reduction(kernel, u, t).feed(ensemble.paths).result()
+
+
+def generator_reduction(kernel, u, t):
+    """:func:`generator_martingale_test` as a :class:`Reduction`."""
     if isinstance(u, str):
         u = TEST_FUNCTIONS[u]
+    # Lu by the state rounded to 12 decimals, over every block
     cache = {}
-    changes = []  # u(X_t) - u(x0), one float per path
 
-    def lu(states):
-        changes.append(u.u(states[-1]) - u.u(states[0]))
-        # Lu is cached by the state rounded to 12 decimals; a path's
-        # states are rounded together in one call
-        vals = []
-        for x, rounded in zip(states, np.round(states, 12)):
-            key = tuple(rounded)
-            if key not in cache:
-                cache[key] = apply_generator(kernel, u, x)
-            vals.append(cache[key])
-        return vals
+    def step(paths):
+        changes = []  # u(X_t) - u(x0), one float per path
 
-    integrals = _time_integrals(ensemble.paths, lu, [t])[:, 0]
-    mean, se, z = _mean_se(np.array(changes) - integrals)
-    return GeneratorMartingaleReport(t, len(integrals), u.name, float(mean),
-                                     float(se), float(z))
+        def lu(states):
+            changes.append(u.u(states[-1]) - u.u(states[0]))
+            # a path's states are rounded together in one call
+            keys = list(map(tuple, np.round(states, 12).tolist()))
+            for i, key in enumerate(keys):
+                if key not in cache:
+                    cache[key] = apply_generator(kernel, u, states[i])
+            return [cache[key] for key in keys]
+
+        integrals = _time_integrals(paths, lu, [t])[:, 0]
+        return (np.array(changes) - integrals,)
+
+    def final(rows):
+        mean, se, z = _mean_se(rows[0])
+        return GeneratorMartingaleReport(t, len(rows[0]), u.name,
+                                         float(mean), float(se), float(z))
+
+    return Reduction(step, final)
 
 
 def lil_statistics(ensemble, direction, checkpoints, kernel):
@@ -331,34 +404,36 @@ def lil_statistics(ensemble, direction, checkpoints, kernel):
     degenerate when ``<X^r>_t`` exceeds ``e`` at no checkpoint of any
     path, so that no ``W_t`` is defined.
     """
+    return lil_reduction(direction, checkpoints, kernel).feed(
+        ensemble.paths).result()
+
+
+def lil_reduction(direction, checkpoints, kernel):
+    """:func:`lil_statistics` as a :class:`Reduction`."""
     checkpoints = np.asarray(checkpoints, dtype=float)
     if np.any(checkpoints < EE):
         raise RangeError(f"checkpoints must be >= e^e ~ {EE:.3f}")
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    paths = ensemble.paths
-    n = len(paths)
-    ncp = len(checkpoints)
-    W = np.zeros((n, ncp))
-    R = np.zeros((n, ncp))
-    degenerate = True
-    qvs = _integrated_a(paths, kernel, checkpoints) @ direction @ direction
-    for k, (p, qv) in enumerate(zip(paths, qvs)):
-        xs = states_at(p, checkpoints)
-        proj = xs @ direction
-        norms = np.linalg.norm(xs, axis=1)
+
+    def step(paths):
+        xs = np.array([states_at(p, checkpoints) for p in paths])
+        qv = _integrated_a(paths, kernel, checkpoints) @ direction @ direction
         pos = qv > math.e
-        if np.any(pos):
-            degenerate = False
         denomW = np.where(
             pos, np.sqrt(2.0 * qv * np.log(np.maximum(np.log(
                 np.maximum(qv, math.e)), 1e-300))), np.inf
         )
-        W[k] = np.where(pos, proj / denomW, 0.0)
-        R[k] = norms / np.sqrt(
-            2.0 * checkpoints * np.log(np.log(checkpoints))
-        )
-    run_W = np.maximum.accumulate(np.abs(W), axis=1)[:, -1]
-    run_R = np.maximum.accumulate(R, axis=1)[:, -1]
-    return LILReport(checkpoints, direction, W, R, run_W, run_R,
-                     degenerate=degenerate)
+        W = np.where(pos, xs @ direction / denomW, 0.0)
+        R = np.linalg.norm(xs, axis=2) / np.sqrt(
+            2.0 * checkpoints * np.log(np.log(checkpoints)))
+        return W, R, pos.any(axis=1)
+
+    def final(rows):
+        W, R, defined = rows
+        run_W = np.maximum.accumulate(np.abs(W), axis=1)[:, -1]
+        run_R = np.maximum.accumulate(R, axis=1)[:, -1]
+        return LILReport(checkpoints, direction, W, R, run_W, run_R,
+                         degenerate=not defined.any())
+
+    return Reduction(step, final)

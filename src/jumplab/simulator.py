@@ -263,6 +263,7 @@ class ThinningSimulator:
         times = u[:n_prop]
         times.sort()
         times = times[u[n_prop:] < p_accept] * t_end
+        del u  # two words a proposal: the largest array of a path
         k = len(times)
         if k == 0:
             return times, np.empty((0, self.kernel.d))
@@ -335,17 +336,20 @@ class ThinningSimulator:
         fracs = np.array([self._dropped_fraction(s) for s in states])
         return float(np.dot(holds, fracs) / t_end)
 
-    def ensemble(self, x0, n_paths, jobs=1):
+    def ensemble(self, x0, n_paths, jobs=1, start=0):
+        """Paths ``start`` to ``start + n_paths - 1``, simulated by
+        ``jobs`` worker processes; the paths do not depend on ``jobs``."""
         if n_paths <= 0:
             raise ValueError("n_paths must be positive")
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        indices = range(start, start + n_paths)
         if jobs > 1:
-            paths = self._ensemble_parallel(x0, n_paths, jobs)
+            paths = self._ensemble_parallel(x0, indices, jobs)
         else:
-            x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-            paths = [self._path(x0, i) for i in range(n_paths)]
+            paths = [self._path(x0, i) for i in indices]
         return PathEnsemble(self.config, tuple(paths))
 
-    def _ensemble_parallel(self, x0, n_paths, jobs):
+    def _ensemble_parallel(self, x0, indices, jobs):
         import concurrent.futures
         import logging
         import pickle
@@ -358,22 +362,19 @@ class ThinningSimulator:
             logging.getLogger("jumplab").warning(
                 "simulating serially: the simulator cannot be pickled "
                 "(%s: %s)", type(exc).__name__, exc)
-            return [self.path(x0, i) for i in range(n_paths)]
-        chunks = np.array_split(np.arange(n_paths), jobs)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [
-                ex.submit(_simulate_chunk, self,
-                          np.asarray(x0, dtype=float), chunk.tolist())
-                for chunk in chunks if len(chunk)
-            ]
-            results = {}
-            for fut in futures:
-                results.update(fut.result())
-        return [results[i] for i in range(n_paths)]
+            return [self._path(x0, i) for i in indices]
+        # the pool forks all its workers at the first submit: one for
+        # each non-empty chunk
+        chunks = [c.tolist() for c in np.array_split(indices, jobs) if len(c)]
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=len(chunks)) as ex:
+            futures = [ex.submit(_simulate_chunk, self, x0, chunk)
+                       for chunk in chunks]
+            return [p for fut in futures for p in fut.result()]
 
 
 def _simulate_chunk(sim, x0, indices):
-    return {i: sim.path(x0, i) for i in indices}
+    return [sim._path(x0, i) for i in indices]
 
 
 def simulate_path(kernel, x0, config, path_index=0, rate_grid=None):

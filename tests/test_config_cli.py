@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path as FSPath
 
 import pytest
 
-from jumplab import coeffs
+from jumplab import cli, coeffs
 from jumplab.cli import main
 from jumplab.config import FirstCoordinatePositive, config_hash, load_config
 from jumplab.errors import ConfigError
@@ -539,6 +540,133 @@ class TestCliExitCodes:
         assert main(["analyze", str(p), "--out", str(tmp_path / "o")]) == 2
         assert ("config error: [analysis.martingale] needs n_paths >= 2, "
                 "got 1") in capsys.readouterr().err
+
+
+# every analysis on a compound-Poisson kernel: 3 proposals a unit of time
+# under the dominating rate, so 192 a path
+ALL_ANALYSES = """\
+[kernel]
+dimension = 1
+components = atoms
+
+[component.atoms]
+family = compound_poisson_atoms
+atoms = 1.0: 0.5; 1.0: -0.5
+
+[sim]
+t_end = 64.0
+epsilon = 0.1
+base_seed = 4242
+n_paths = 7
+x0 = 0.0
+
+[output]
+write_paths = true
+
+[analysis.martingale]
+t = 64.0
+
+[analysis.qv]
+t = 40.0
+
+[analysis.moment_identity]
+t = 64.0
+rtol = 1.0
+
+[analysis.generator]
+function = sin_first
+t = 30.0
+
+[analysis.lil]
+t_start = 16.0
+direction = 1.0
+coverage = 0.5
+"""
+
+
+def run_outputs(root):
+    """Every file of a run but its manifest, by relative path."""
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*"))
+            if f.is_file() and f.name != "manifest.json"}
+
+
+class TestBlocks:
+    # 192 proposals a path for ALL_ANALYSES; GOOD's state-dependent
+    # kernel has about 180
+    @pytest.mark.parametrize("text, extra, budget, sizes", [
+        (ALL_ANALYSES, "", 500, [2, 2, 2, 1]),
+        (GOOD, "\n[analysis.qv]\nt = 1.0\n", 2000, [11] * 4 + [6]),
+    ], ids=["all_analyses", "state_dependent"])
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_blocks_do_not_change_outputs(self, tmp_path, monkeypatch, capsys,
+                                          command, text, extra, budget,
+                                          sizes):
+        p = write(tmp_path, text + extra)
+        blocks = []
+        ensemble = cli.ThinningSimulator.ensemble
+
+        def recorded(sim, x0, n_paths, **kw):
+            blocks.append(n_paths)
+            return ensemble(sim, x0, n_paths, **kw)
+
+        monkeypatch.setattr(cli.ThinningSimulator, "ensemble", recorded)
+        runs = []
+        for tag, proposals in (("one", cli._BLOCK_PROPOSALS), ("many", budget)):
+            monkeypatch.setattr(cli, "_BLOCK_PROPOSALS", proposals)
+            blocks.clear()
+            out = tmp_path / tag
+            code = main([command, str(p), "--out", str(out)])
+            runs.append((code, capsys.readouterr(), list(blocks),
+                         run_outputs(out / config_hash(text + extra))))
+        (code1, std1, blocks1, files1), (code2, std2, blocks2, files2) = runs
+        assert blocks1 == [sum(sizes)]
+        assert blocks2 == sizes
+        assert (code1, std1) == (code2, std2)
+        assert files1 == files2
+        assert sum(name.startswith("paths/") for name in files1) == sum(sizes)
+
+    def test_a_block_holds_a_path_for_each_worker(self, tmp_path,
+                                                  monkeypatch, pool):
+        # one worker for each non-empty chunk of each block
+        p = write(tmp_path, ALL_ANALYSES)
+        monkeypatch.setattr(cli, "_BLOCK_PROPOSALS", 1)
+        assert main(["analyze", str(p), "--out", str(tmp_path / "a"),
+                     "--jobs", "3"]) == 0
+        assert pool == [3, 3, 1]
+        pool.clear()
+        assert main(["simulate", str(p), "--out", str(tmp_path / "b"),
+                     "--jobs", "64"]) == 0
+        assert pool == [7]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, pool,
+                                             jobs):
+        p = write(tmp_path, ALL_ANALYSES)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(p), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert pool == []
+        assert not out.exists()
+
+    def test_memory_stays_bounded(self, tmp_path):
+        # 8 paths of the shipped LIL kernel at t_end = 1e5, each about 4e5
+        # jumps and 6.4 MB of arrays, and each its own block: the peak
+        # stays below 3 paths' arrays, where holding the ensemble took 8
+        text = (CONFIGS / "lil_compound_poisson.cfg").read_text(
+            encoding="utf-8").replace("n_paths = 100", "n_paths = 8")
+        assert "t_end = 100000.0" in text
+        p = write(tmp_path, text)
+        tracemalloc.start()
+        try:
+            code = main(["analyze", str(p), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 20e6
 
 
 class TestOutputLayout:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from jumplab import coeffs, exprlang
+from jumplab import coeffs, estimators, exprlang
 from jumplab.config import FirstCoordinatePositive
 from jumplab.errors import RangeError
 from jumplab.estimators import (
@@ -15,11 +15,16 @@ from jumplab.estimators import (
     TEST_FUNCTIONS,
     apply_generator,
     generator_martingale_test,
+    generator_reduction,
+    lil_reduction,
     lil_statistics,
+    martingale_reduction,
     martingale_series,
     martingale_test,
+    moment_identity_reduction,
     predictable_integral,
     qv_comparison,
+    qv_reduction,
     second_moment_identity,
 )
 from jumplab.kernels import (
@@ -484,6 +489,61 @@ class TestPinnedEstimators:
             lil.directional.ravel(), lil.radial.ravel(),
             lil.running_max_directional, lil.running_max_radial]))
         assert got == PINNED_ESTIMATES[name]
+
+
+def _bits(report):
+    """Every field of a report, or of a list of reports, as bytes."""
+    if isinstance(report, list):
+        return [_bits(r) for r in report]
+    return {name: np.asarray(value).tobytes()
+            for name, value in vars(report).items()}
+
+
+class TestBlocks:
+    # a reduction fed an ensemble in blocks of 1, 3 or all 12 consecutive
+    # paths gives the one-shot function's report bit for bit
+    @pytest.mark.parametrize("kernel, x0, t_end, t, checkpoints", [
+        (PIN_1D, (0.0,), 40.0, 21.5, (16.0, 32.0, 40.0)),
+        (MIXED_2D, (0.3, -0.2), 20.0, 10.5, (16.0, 20.0)),
+    ], ids=["1d", "2d"])
+    def test_blocks_give_the_one_shot_report(self, monkeypatch, kernel, x0,
+                                             t_end, t, checkpoints):
+        ens = simulate_ensemble(kernel, x0, cfg(t_end=t_end, epsilon=0.2),
+                                12)
+        times = [1.0, t, t_end]
+        direction = (1.0,) * kernel.d
+        cases = [
+            (lambda: martingale_reduction(times),
+             martingale_series(ens, times)),
+            (lambda: qv_reduction(kernel, t), qv_comparison(ens, kernel, t)),
+            (lambda: moment_identity_reduction(kernel, t),
+             second_moment_identity(ens, kernel, t)),
+            (lambda: lil_reduction(direction, checkpoints, kernel),
+             lil_statistics(ens, direction, checkpoints, kernel)),
+        ]
+        calls = collections.Counter()
+        if kernel.d == 1:
+            # MIXED_2D's stable-like part has no generator in 2-d
+            apply = estimators.apply_generator
+
+            def counted(*args):
+                calls["Lu"] += 1
+                return apply(*args)
+
+            monkeypatch.setattr(estimators, "apply_generator", counted)
+            # a short time: each new state costs a quadrature
+            cases.append((lambda: generator_reduction(kernel, "cos_first", 3.0),
+                          generator_martingale_test(ens, kernel, "cos_first",
+                                                    3.0)))
+        one_shot_calls = calls["Lu"]
+        for size in (1, 3, 12):
+            for reduction, want in cases:
+                reduction = reduction()
+                for start in range(0, 12, size):
+                    reduction.feed(ens.paths[start:start + size])
+                assert _bits(reduction.result()) == _bits(want), size
+        # the generator's cache of Lu spans the blocks
+        assert calls["Lu"] == 4 * one_shot_calls
 
 
 class TestGeneratorMartingale:

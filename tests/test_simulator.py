@@ -172,6 +172,29 @@ class TestDeterminism:
             assert a.jump_times.tobytes() == b.jump_times.tobytes()
             assert a.jump_vectors.tobytes() == b.jump_vectors.tobytes()
 
+    def test_start_selects_the_paths(self):
+        whole = simulate_ensemble(ATOMS, (0.0,), cfg(), 7)
+        sim = ThinningSimulator(ATOMS, cfg())
+        part = sim.ensemble((0.0,), 3, start=4)
+        assert [p.seed for p in part.paths] == [(1234, 4), (1234, 5), (1234, 6)]
+        for a, b in zip(whole.paths[4:], part.paths):
+            assert a.jump_times.tobytes() == b.jump_times.tobytes()
+            assert a.jump_vectors.tobytes() == b.jump_vectors.tobytes()
+
+    @pytest.mark.parametrize("n_paths, jobs, workers", [
+        (6, 64, 6), (6, 4, 4), (2, 3, 2),
+    ])
+    def test_pool_has_a_worker_per_chunk(self, pool, n_paths, jobs,
+                                         workers):
+        # the pool forks all its workers at the first submit, so it gets
+        # no more workers than chunks
+        serial = simulate_ensemble(ATOMS, (0.0,), cfg(), n_paths)
+        pooled = simulate_ensemble(ATOMS, (0.0,), cfg(), n_paths, jobs=jobs)
+        assert pool == [workers]
+        for a, b in zip(serial.paths, pooled.paths, strict=True):
+            assert a.jump_times.tobytes() == b.jump_times.tobytes()
+            assert a.jump_vectors.tobytes() == b.jump_vectors.tobytes()
+
     def test_unpicklable_simulator_warns_and_runs_serially(self, caplog):
         k = KernelSpec(2, (ConeRestriction(
             BigJumpPowerLaw(coeffs.constant(1.0), coeffs.constant(3.0)),

@@ -33,6 +33,34 @@ def test_tracer_installs():
     _traced("")
 
 
+def test_tracer_counts_every_block():
+    # analyze simulates a block of paths at a time through
+    # ThinningSimulator.ensemble, which the tracer wraps to count paths
+    # and jumps: its counts must cover every block
+    out = _traced("""
+import json, pathlib, tempfile
+from jumplab import cli
+from jumplab.simulator import read_path_csv
+cli._BLOCK_PROPOSALS = 500
+out = pathlib.Path(tempfile.mkdtemp())
+code = cli.main(["analyze", "configs/compound_poisson_d1.cfg",
+                 "--out", str(out)])
+jumps = 0
+for f in out.rglob("path_*.csv"):
+    with open(f, encoding="utf-8") as fh:
+        jumps += read_path_csv(fh).n_jumps
+print(json.dumps({"code": code, "jumps": jumps,
+                  "blocks": t.calls["simulator.ensemble"],
+                  "layers": tracer.layer_metrics(t)}))
+""")
+    got = json.loads(out.strip().splitlines()[-1])
+    assert got["code"] == 0
+    # 6 proposals a path: blocks of 83 of the 500 paths
+    assert got["blocks"] == 7
+    assert got["layers"]["simulator.paths"] == 500
+    assert got["layers"]["simulator.jumps"] == got["jumps"] > 0
+
+
 def test_tracer_sees_every_check_of_run_all():
     # run_all must reach its checks through the module globals, and the
     # checks the kernel through its named moments, or a traced run
