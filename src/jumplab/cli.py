@@ -256,18 +256,15 @@ def _stages(cfg, args, dirs, files):
                   f"rerun with --force to {command} anyway", file=sys.stderr)
             return 1
 
-    sim_cfg = cfg.sim
-    if args.seed_override is not None:
-        sim_cfg = dataclasses.replace(sim_cfg, base_seed=args.seed_override)
     # the paths start at x0, so the dominating rate must cover it
-    sim = ThinningSimulator(cfg.kernel, sim_cfg,
+    sim = ThinningSimulator(cfg.kernel, cfg.sim,
                             rate_grid=cfg.grid.points + (cfg.x0,))
     analyses = [] if command == "simulate" else [
         _ANALYSES[spec.name](cfg, spec, dirs, files) for spec in cfg.analyses]
     reductions = [next(analysis) for analysis in analyses]
     # lambda_bar * t_end proposals a path, and a path for each worker
     per_block = max(args.jobs, int(_BLOCK_PROPOSALS // max(
-        sim.dominating_rate * sim_cfg.t_end, 1.0)))
+        sim.dominating_rate * cfg.sim.t_end, 1.0)))
     width = len(str(cfg.n_paths - 1))
     total = 0
     results = []
@@ -339,6 +336,12 @@ def main(argv=None):
         parser.error("--jobs must be at least 1")
     try:
         cfg = load_config(args.config)
+        if args.seed_override is not None:
+            try:
+                cfg.sim = dataclasses.replace(cfg.sim,
+                                              base_seed=args.seed_override)
+            except ValueError as exc:
+                raise ConfigError(f"--seed-override: {exc}") from exc
         return _run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -205,12 +205,16 @@ def _analysis_params(parser, name, d, t_end):
         direction = numbers("direction", (1.0,))
         if len(direction) != d:
             _fail(section, "direction has wrong dimension")
-        return {
+        params = {
             "t_start": t_start,
             "direction": direction,
             "band": numbers("band", None, 2),
             "coverage": number("coverage", 0.9),
         }
+        # the last checkpoint is t_end, and every one must be >= e^e
+        if t_end < EE:
+            _fail(section, f"needs t_end >= e^e ~ {EE:.3f}, got {t_end!r}")
+        return params
     # the paths end at t_end: past it there is nothing to estimate
     t = number("t", t_end)
     if not 0.0 <= t <= t_end:
@@ -354,9 +358,6 @@ def load_config(path):
             t_end=_typed(parser, "sim", "t_end", "float"),
             epsilon=_typed(parser, "sim", "epsilon", "float"),
             base_seed=_typed(parser, "sim", "base_seed", "int"),
-            dominating_rate_margin=_typed(parser, "sim", "margin", "float",
-                                          1.5),
-            max_jumps=_typed(parser, "sim", "max_jumps", "int", 10_000_000),
         )
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from exc

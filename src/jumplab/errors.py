@@ -44,10 +44,6 @@ class DivergenceDetected(DivergentIntegral):
 class ToleranceNotMet(JumplabError):
     """Quadrature error bound exceeded the requested tolerance at the cap."""
 
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
 
 class EnvelopeViolation(JumplabError):
     """A thinning acceptance probability exceeded one."""
@@ -55,10 +51,6 @@ class EnvelopeViolation(JumplabError):
 
 class JumpCapExceeded(JumplabError):
     """A simulated path hit its jump-count cap before t_end."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class RangeError(JumplabError):

@@ -159,10 +159,7 @@ def _walk_shells(f, edge, factor, value, error, evals, rtol, max_evals,
             error += abs(shells[-1]) * rho / (1.0 - rho)
             return value, error, evals
         if evals >= max_evals or k >= _MAX_SHELLS:
-            raise ToleranceNotMet(
-                f"evaluation cap reached {where}",
-                QuadratureResult(value, error, evals),
-            )
+            raise ToleranceNotMet(f"evaluation cap reached {where}")
 
 
 def integrate_radial(f, r_lo, r_hi, singular_exponent=0.0,
@@ -175,7 +172,7 @@ def integrate_radial(f, r_lo, r_hi, singular_exponent=0.0,
 
     Raises :class:`DivergenceDetected` when shell contributions fail to
     decay, :class:`ToleranceNotMet` when the evaluation cap is reached
-    first (the partial result rides on the exception).
+    first.
     """
     if r_lo < 0:
         raise ValueError("r_lo must be >= 0")

@@ -2,8 +2,9 @@
 
 Jumps of size ``|z| >= epsilon`` arrive with state-dependent total rate
 ``N(x, {|z| >= eps})``.  Proposals are drawn from a homogeneous Poisson
-clock at a dominating rate (grid supremum times a safety margin) and
-accepted with probability ``rate(x) / dominating_rate``; accepted jumps
+clock at a dominating rate (grid supremum times
+:data:`DOMINATING_RATE_MARGIN`) and accepted with probability
+``rate(x) / dominating_rate``; accepted jumps
 are drawn from the normalized tail kernel at the current state.  Jumps
 below epsilon are dropped and never replaced (their compensated drift
 vanishes for symmetric components): the simulated process is the
@@ -39,23 +40,29 @@ __all__ = [
 ]
 
 
+# The dominating rate is this factor times the largest tail rate over
+# the rate grid: headroom for the states between the grid points.
+DOMINATING_RATE_MARGIN = 1.5
+# A path that needs more proposals (state-independent kernels) or jumps
+# (state-dependent ones) than this raises JumpCapExceeded.
+MAX_JUMPS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     t_end: float
     epsilon: float
     base_seed: int
-    dominating_rate_margin: float = 1.5
-    max_jumps: int = 10_000_000
 
     def __post_init__(self):
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.dominating_rate_margin < 1.0:
-            raise ValueError("dominating_rate_margin must be >= 1")
-        if self.max_jumps <= 0:
-            raise ValueError("max_jumps must be positive")
+        # the Philox key of each path is a pair of unsigned 64-bit words
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must lie in [0, 2^64), got "
+                             f"{self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -172,24 +179,17 @@ class ThinningSimulator:
         origin = tuple([0.0] * kernel.d)
         probe = [origin] if self.state_independent else rate_grid
         sup = max(map(self._tail_rate, probe))
-        self.dominating_rate = config.dominating_rate_margin * sup
-        # state-independent kernels: rates, acceptance probability and
-        # dropped fraction never change; precompute them once
-        self._si_cache = None
+        self.dominating_rate = DOMINATING_RATE_MARGIN * sup
         if self.state_independent:
+            # the rates, and so the acceptance probability, the component
+            # probabilities and the dropped fraction, are the same at
+            # every state: take them once
             rates = self._rates(origin)
             total = float(rates.sum())
-            probs = rates / total if total > 0 else rates
-            p_accept = total / self.dominating_rate \
-                if self.dominating_rate > 0 else 0.0
-            if p_accept > 1.0 + 1e-12:
-                raise EnvelopeViolation(
-                    f"acceptance probability {p_accept:.6f} > 1; "
-                    "dominating rate undersized"
-                )
-            self._si_cache = (
-                p_accept, probs, self._compute_dropped_fraction(origin),
-            )
+            if total > 0:  # else the dominating rate is 0 too: no proposals
+                self._p_accept = total / self.dominating_rate
+                self._probs = rates / total
+            self._si_fraction = self._dropped_fraction([origin], None)
 
     def _tail_rate(self, x):
         """The kernel's total tail rate at ``x``; an error names ``x``."""
@@ -207,18 +207,17 @@ class ThinningSimulator:
             for c in self.kernel.components
         ])
 
-    # dropped-variance bookkeeping, time-weighted over visited states
-    def _compute_dropped_fraction(self, x):
-        trace = self.kernel.second_moment(x).value
-        if trace <= 0:
-            return 0.0
-        return self.kernel.dropped_variance(x, self.config.epsilon).value \
-            / trace
-
-    def _dropped_fraction(self, x):
-        if self._si_cache is not None:
-            return self._si_cache[2]
-        return self._compute_dropped_fraction(x)
+    def _dropped_fraction(self, states, holds):
+        """The share of the second moment that the jumps below epsilon
+        carry, averaged over ``states`` weighted by their holding times."""
+        fracs = []
+        for x in states:
+            trace = self.kernel.second_moment(x).value
+            fracs.append(0.0 if trace <= 0 else self.kernel.dropped_variance(
+                x, self.config.epsilon).value / trace)
+        if len(fracs) == 1:  # no jump: the one state's own fraction
+            return fracs[0]
+        return float(np.dot(holds, fracs) / self.config.t_end)
 
     def path(self, x0, path_index):
         return self._path(np.atleast_1d(np.asarray(x0, dtype=float)),
@@ -228,48 +227,39 @@ class ThinningSimulator:
         """:meth:`path` for an ``x0`` already converted to a float array."""
         cfg = self.config
         rng = _rng_for_path(cfg.base_seed, path_index)
-        if self.state_independent:
-            times, jumps = self._path_state_independent(rng, x0, cfg.t_end)
+        if self.dominating_rate <= 0.0:  # no jump ever arrives
+            times, jumps = np.empty(0), np.empty((0, self.kernel.d))
+        elif self.state_independent:
+            times, jumps = self._path_state_independent(rng, x0)
         else:
             times, jumps = self._path_sequential(rng, x0)
-        frac = self._average_dropped_fraction(x0, times, jumps)
+        frac = self._si_fraction if self.state_independent \
+            else self._dropped_fraction(
+                *_visited_states(x0, times, jumps, cfg.t_end))
         return Path(x0, cfg.t_end, times, jumps, frac,
                     (cfg.base_seed, path_index), cfg.epsilon)
 
-    def _path_state_independent(self, rng, x0, t_end):
+    def _path_state_independent(self, rng, x0):
         # Draw order, which the frozen LIL band depends on: proposal
         # count, proposal times, acceptance uniforms, then the jumps.
-        cfg = self.config
-        lam_bar = self.dominating_rate
-        if lam_bar <= 0.0:
-            return np.empty(0), np.empty((0, self.kernel.d))
-        n_prop = int(rng.poisson(lam_bar * t_end))
-        if n_prop > cfg.max_jumps:
-            # hand back whatever fits below the cap as a shortened path
-            t_cap = t_end * (cfg.max_jumps / n_prop)
-            times, jumps = self._path_state_independent(rng, x0, t_cap)
-            partial = Path(
-                x0, t_cap, times, jumps, self._dropped_fraction(x0),
-                (cfg.base_seed, -1), cfg.epsilon,
-            )
+        t_end = self.config.t_end
+        n_prop = int(rng.poisson(self.dominating_rate * t_end))
+        if n_prop > MAX_JUMPS:
             raise JumpCapExceeded(
-                f"{n_prop} proposals exceed max_jumps={cfg.max_jumps}",
-                partial=partial,
-            )
-        p_accept, probs, _ = self._si_cache
+                f"{n_prop} proposals exceed MAX_JUMPS = {MAX_JUMPS}")
         # times and acceptance uniforms in one call: each double takes one
         # 64-bit word, so this is the stream of two consecutive calls
         u = rng.random(2 * n_prop)
         times = u[:n_prop]
         times.sort()
-        times = times[u[n_prop:] < p_accept] * t_end
+        times = times[u[n_prop:] < self._p_accept] * t_end
         del u  # two words a proposal: the largest array of a path
         k = len(times)
         if k == 0:
             return times, np.empty((0, self.kernel.d))
         if len(self.samplers) == 1:
             return times, self.samplers[0].draw_many(rng, x0, k)
-        comp_ids = rng.choice(len(self.samplers), size=k, p=probs)
+        comp_ids = rng.choice(len(self.samplers), size=k, p=self._probs)
         jumps = np.empty((k, self.kernel.d))
         for ci, sampler in enumerate(self.samplers):
             mask = comp_ids == ci
@@ -278,29 +268,19 @@ class ThinningSimulator:
         return times, jumps
 
     def _path_sequential(self, rng, x0):
-        cfg = self.config
+        t_end = self.config.t_end
         lam_bar = self.dominating_rate
-        d = self.kernel.d
         times = []
         jumps = []
         t = 0.0
         x = x0.copy()
-        if lam_bar <= 0.0:
-            return np.empty(0), np.empty((0, d))
         while True:
             t += rng.exponential(1.0 / lam_bar)
-            if t > cfg.t_end:
+            if t > t_end:
                 break
-            if len(times) >= cfg.max_jumps:
-                partial = Path(
-                    x0, t, np.array(times), np.array(jumps),
-                    self._dropped_fraction(x0),
-                    (cfg.base_seed, -1), cfg.epsilon,
-                )
+            if len(times) >= MAX_JUMPS:
                 raise JumpCapExceeded(
-                    f"max_jumps={cfg.max_jumps} reached at t={t:.6g}",
-                    partial=partial,
-                )
+                    f"MAX_JUMPS = {MAX_JUMPS} jumps reached at t={t:.6g}")
             rates = self._rates(x)
             total = rates.sum()
             p = total / lam_bar
@@ -324,17 +304,8 @@ class ThinningSimulator:
             jumps.append(z)
             x = x + z
         if not times:
-            return np.empty(0), np.empty((0, d))
+            return np.empty(0), np.empty((0, self.kernel.d))
         return np.array(times), np.array(jumps)
-
-    def _average_dropped_fraction(self, x0, times, jumps):
-        if self.state_independent or len(times) == 0:
-            return self._dropped_fraction(x0)
-        # time-weighted over the visited states
-        t_end = self.config.t_end
-        states, holds = _visited_states(x0, times, jumps, t_end)
-        fracs = np.array([self._dropped_fraction(s) for s in states])
-        return float(np.dot(holds, fracs) / t_end)
 
     def ensemble(self, x0, n_paths, jobs=1, start=0):
         """Paths ``start`` to ``start + n_paths - 1``, simulated by

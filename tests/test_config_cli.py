@@ -373,17 +373,15 @@ class TestCliExitCodes:
          "epsilon = 'small' is not numeric"),
         ("base_seed = 777", "base_seed = 1.5",
          "base_seed = '1.5' is not an integer"),
-        ("x0 = 0.0", "x0 = 0.0\nmargin = wide",
-         "margin = 'wide' is not numeric"),
-        ("x0 = 0.0", "x0 = 0.0\nmax_jumps = 1e6",
-         "max_jumps = '1e6' is not an integer"),
         ("t_end = 1.0\n", "", "missing t_end"),
         ("epsilon = 0.05\n", "", "missing epsilon"),
         ("base_seed = 777\n", "", "missing base_seed"),
         ("t_end = 1.0", "t_end = -1.0", "t_end must be positive"),
-    ], ids=["t_end", "epsilon", "base_seed", "margin", "max_jumps",
-            "missing_t_end", "missing_epsilon", "missing_base_seed",
-            "t_end_range"])
+        ("base_seed = 777", "base_seed = -5",
+         "base_seed must lie in [0, 2^64), got -5"),
+    ], ids=["t_end", "epsilon", "base_seed", "missing_t_end",
+            "missing_epsilon", "missing_base_seed", "t_end_range",
+            "base_seed_range"])
     def test_malformed_sim_key(self, tmp_path, capsys, old, new, message):
         text = GOOD.replace(old, new, 1)
         assert text != GOOD
@@ -444,6 +442,7 @@ class TestCliExitCodes:
         ("generator", "function = cube", "unknown function 'cube'"),
         ("lil", "t_start = 3", "t_start must be >= e^e"),
         ("lil", "direction = 1, 0", "direction has wrong dimension"),
+        ("lil", "t_start = 16", "needs t_end >= e^e ~ 15.154, got 1.0"),
     ])
     def test_analysis_parameters_checked_first(self, tmp_path, capsys,
                                                section, line, message):
@@ -515,8 +514,12 @@ class TestCliExitCodes:
          "[analysis.lil] unknown key 'tail_lower_bound'"),
         ("stable_like_d1", "x0 = 0.0", "x0 = 0.0\nsmall_jump_mode = drop",
          "[sim] unknown key 'small_jump_mode'"),
+        ("stable_like_d1", "x0 = 0.0", "x0 = 0.0\nmargin = 2.0",
+         "[sim] unknown key 'margin'"),
+        ("stable_like_d1", "x0 = 0.0", "x0 = 0.0\nmax_jumps = 100",
+         "[sim] unknown key 'max_jumps'"),
     ], ids=["rtol", "x0", "bass_normalized", "lambda", "coverage",
-            "tail_lower_bound", "small_jump_mode"])
+            "tail_lower_bound", "small_jump_mode", "margin", "max_jumps"])
     def test_unread_key(self, tmp_path, capsys, config, old, new, message):
         # a mistyped key would otherwise fall back to its default silently
         shipped = (CONFIGS / f"{config}.cfg").read_text()
@@ -733,6 +736,18 @@ class TestOutputLayout:
         f1 = next((out1 / config_hash(GOOD) / "paths").glob("*.csv"))
         f2 = (out2 / config_hash(GOOD) / "paths") / f1.name
         assert f1.read_bytes() != f2.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_override_out_of_range(self, tmp_path, capsys, seed):
+        # checked with the config, before anything is validated or written
+        p = write(tmp_path, GOOD)
+        out = tmp_path / "o"
+        assert main(["validate", str(p), "--out", str(out),
+                     "--seed-override", seed]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --seed-override: base_seed must lie in "
+            f"[0, 2^64), got {seed}\n")
+        assert not out.exists()
 
     def test_jumplab_out_env(self, tmp_path, monkeypatch):
         p = write(tmp_path, GOOD)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from jumplab import coeffs
+from jumplab import coeffs, simulator
 from jumplab.config import FirstAxisCone
 from jumplab.errors import EnvelopeViolation, JumpCapExceeded, RangeError
 from jumplab.estimators import predictable_integral
@@ -55,9 +55,14 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             cfg(epsilon=1.0)
 
-    def test_margin_bound(self):
-        with pytest.raises(ValueError):
-            cfg(dominating_rate_margin=0.9)
+    def test_seed_bounds(self):
+        # each path's Philox key is a pair of unsigned 64-bit words
+        cfg(base_seed=0)
+        cfg(base_seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"base_seed must lie in "
+                                                 r"\[0, 2\^64\)"):
+                cfg(base_seed=seed)
 
 
 class TestDeterminism:
@@ -88,7 +93,7 @@ class TestDeterminism:
         weights = np.array([w for w, _ in atoms])
         cdf = weights.cumsum() / weights.sum()
         config = cfg(t_end=10.0, base_seed=4321)
-        lam_bar = config.dominating_rate_margin * weights.sum()
+        lam_bar = simulator.DOMINATING_RATE_MARGIN * weights.sum()
         for i in range(5):
             rng = np.random.Generator(
                 np.random.Philox(key=[config.base_seed, i])
@@ -385,12 +390,23 @@ class TestDroppedVariance:
 
 
 class TestJumpCap:
-    def test_cap_raises_with_partial(self):
+    def test_cap_raises_with_partial(self, monkeypatch):
+        # a state-independent kernel: the cap counts proposals
+        monkeypatch.setattr(simulator, "MAX_JUMPS", 50)
         k = stable_kernel()
-        with pytest.raises(JumpCapExceeded) as err:
-            simulate_path(k, (0.0,), cfg(epsilon=0.001, t_end=100.0,
-                                         max_jumps=50))
-        assert err.value.partial is not None
+        with pytest.raises(JumpCapExceeded, match="exceed MAX_JUMPS = 50"):
+            simulate_path(k, (0.0,), cfg(epsilon=0.001, t_end=100.0))
+
+    def test_cap_raises_on_a_state_dependent_kernel(self, monkeypatch):
+        # about 20 jumps to t = 1, past a cap that counts jumps
+        monkeypatch.setattr(simulator, "MAX_JUMPS", 5)
+        bump = coeffs.inverse_quadratic_bump(1.0, 0.5)
+        k = KernelSpec(1, (StableLikeSmall(bump, coeffs.constant(1.0)),))
+        sim = ThinningSimulator(k, cfg(), rate_grid=[(0.0,), (1.0,)])
+        assert not sim.state_independent
+        with pytest.raises(JumpCapExceeded,
+                           match="MAX_JUMPS = 5 jumps reached at t="):
+            sim.path((0.0,), 0)
 
 
 class TestCsv:

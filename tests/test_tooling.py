@@ -185,9 +185,9 @@ def test_loading_a_config_evaluates_no_coefficient(monkeypatch):
     assert calls == []
 
 
-def test_every_config_key_is_named(monkeypatch):
-    # a key the loader asks for that README.md never names and no shipped
-    # config sets is an option only the source shows
+def _shipped_parsers(monkeypatch):
+    """The parsers that loading each of ``configs/*.cfg`` used, with the
+    keys each was asked for."""
     from jumplab import config
 
     parsers = []
@@ -200,6 +200,13 @@ def test_every_config_key_is_named(monkeypatch):
     monkeypatch.setattr(config, "_Parser", Recorded)
     for path in sorted((ROOT / "configs").glob("*.cfg")):
         config.load_config(path)
+    return parsers
+
+
+def test_every_config_key_is_named(monkeypatch):
+    # a key the loader asks for that README.md never names and no shipped
+    # config sets is an option only the source shows
+    parsers = _shipped_parsers(monkeypatch)
     asked = {key for p in parsers for keys in p.asked.values()
              for key in keys}
     shipped = {key for p in parsers for section in p.sections()
@@ -210,3 +217,16 @@ def test_every_config_key_is_named(monkeypatch):
     hidden = sorted(key for key in asked - shipped if key not in named
                     and not (key.endswith("_bounds") and "*_bounds" in named))
     assert hidden == []
+
+
+def test_every_sim_field_is_a_config_key(monkeypatch):
+    # a SimConfig field that no [sim] key sets is a setting only the
+    # Python API has; the API and the config language set the same ones
+    from dataclasses import fields
+
+    from jumplab.simulator import SimConfig
+
+    asked = {key for p in _shipped_parsers(monkeypatch)
+             for key in p.asked.get("sim", ())}
+    assert sorted(f.name for f in fields(SimConfig) if f.name not in asked) \
+        == []
