@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exprlang
 from .exprlang import Expr
 
@@ -21,8 +23,18 @@ class CoefficientFn:
     hi: float
     source: str = ""
 
+    # the simulator asks for a coefficient several times at each state: the
+    # last float64 array state, by its exact bytes, and the value there
+    _memo = (None, None)
+
     def __call__(self, x):
-        return exprlang.evaluate(self.expr, x)
+        if type(x) is not np.ndarray or x.dtype != np.float64:
+            return exprlang.evaluate(self.expr, x)
+        memo = self._memo  # read once, so that each call gets its own value
+        if memo[0] != x.tobytes():
+            memo = (x.tobytes(), exprlang.evaluate(self.expr, x))
+            self.__dict__["_memo"] = memo
+        return memo[1]
 
     def is_constant(self):
         return self.expr.is_constant()

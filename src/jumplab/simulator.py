@@ -10,6 +10,8 @@ below epsilon are dropped and never replaced (their compensated drift
 vanishes for symmetric components): the simulated process is the
 pure-jump process of the truncated kernel, and each path records the
 time-weighted fraction of the second moment that the truncation drops.
+The rates and that fraction are taken once per visited state, not per
+proposal, and a component with constant coefficients once per simulator.
 
 Reproducibility: path ``i`` of an ensemble with base seed ``s`` uses a
 counter-based Philox stream keyed by ``(s, i)``, so ensembles are
@@ -147,6 +149,9 @@ def _rng_for_path(base_seed, path_index):
     # path.  The generator handed back is shared by every caller in the
     # process: it is valid only until the next call, and it is not
     # thread-safe, so paths must not be simulated from several threads.
+    for name, value in (("base_seed", base_seed), ("path_index", path_index)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
     _PATH_KEY[0] = base_seed
     _PATH_KEY[1] = path_index
     _PATH_BITGEN.state = _PATH_STATE
@@ -162,6 +167,8 @@ class ThinningSimulator:
     ``rate_grid`` is the set of states over which the tail-rate
     supremum is taken (the validation grid by default); undersizing it
     surfaces as :class:`EnvelopeViolation` rather than silent clipping.
+    Each visited state's rates and dropped fraction come from one
+    :meth:`_state` call; constant components take theirs once, here.
     """
 
     def __init__(self, kernel, config, rate_grid=None):
@@ -171,25 +178,34 @@ class ThinningSimulator:
             from .validators import default_grid
 
             rate_grid = default_grid(kernel.d).points
-        self.samplers = [
-            c.tail_sampler(kernel.d, config.epsilon)
-            for c in kernel.components
-        ]
+        eps, d = config.epsilon, kernel.d
+        self.samplers = [c.tail_sampler(d, eps) for c in kernel.components]
         self.state_independent = kernel.is_state_independent()
         origin = tuple([0.0] * kernel.d)
         probe = [origin] if self.state_independent else rate_grid
         sup = max(map(self._tail_rate, probe))
         self.dominating_rate = DOMINATING_RATE_MARGIN * sup
+        # the three bands of a component with constant coefficients; one
+        # that raises is taken at each state instead, which its error names
+        self._parts = []
+        for c in kernel.components:
+            known = None
+            if all(fn.is_constant() for fn in c.coefficients):
+                try:
+                    known = (c.tail_mass(origin, eps, d).value,
+                             c.second_moment(origin, d).value,
+                             c.dropped_variance(origin, eps, d).value)
+                except (DivergentIntegral, DomainError):
+                    pass
+            self._parts.append((c, known))
         if self.state_independent:
-            # the rates, and so the acceptance probability, the component
-            # probabilities and the dropped fraction, are the same at
-            # every state: take them once
-            rates = self._rates(origin)
+            # the acceptance probability, the component probabilities and
+            # the dropped fraction are then the same at every state too
+            rates, self._si_fraction = self._state(origin)
             total = float(rates.sum())
             if total > 0:  # else the dominating rate is 0 too: no proposals
                 self._p_accept = total / self.dominating_rate
                 self._probs = rates / total
-            self._si_fraction = self._dropped_fraction([origin], None)
 
     def _tail_rate(self, x):
         """The kernel's total tail rate at ``x``; an error names ``x``."""
@@ -199,25 +215,23 @@ class ThinningSimulator:
             raise type(exc)(f"dominating rate at x={tuple(map(float, x))}: "
                             f"{exc}") from exc
 
-    def _rates(self, x):
-        # one tail_mass call per component and state, which bench/tracer.py
-        # counts as one proposal
-        return np.array([
-            c.tail_mass(x, self.config.epsilon, self.kernel.d).value
-            for c in self.kernel.components
-        ])
-
-    def _dropped_fraction(self, states, holds):
-        """The share of the second moment that the jumps below epsilon
-        carry, averaged over ``states`` weighted by their holding times."""
-        fracs = []
-        for x in states:
-            trace = self.kernel.second_moment(x).value
-            fracs.append(0.0 if trace <= 0 else self.kernel.dropped_variance(
-                x, self.config.epsilon).value / trace)
-        if len(fracs) == 1:  # no jump: the one state's own fraction
-            return fracs[0]
-        return float(np.dot(holds, fracs) / self.config.t_end)
+    def _state(self, x):
+        """Each component's tail rate at ``x``, and the share of the second
+        moment that the jumps below epsilon carry there."""
+        eps, d = self.config.epsilon, self.kernel.d
+        # bench/tracer.py counts these tail_mass calls as rate evaluations
+        rates = np.array([c.tail_mass(x, eps, d).value if k is None else k[0]
+                          for c, k in self._parts])
+        # summed from 0.0 in component order, as KernelSpec.moment sums
+        trace = dropped = 0.0
+        for c, k in self._parts:
+            trace += c.second_moment(x, d).value if k is None else k[1]
+        if trace <= 0:
+            return rates, 0.0
+        for c, k in self._parts:
+            dropped += c.dropped_variance(x, eps, d).value if k is None \
+                else k[2]
+        return rates, dropped / trace
 
     def path(self, x0, path_index):
         return self._path(np.atleast_1d(np.asarray(x0, dtype=float)),
@@ -227,15 +241,11 @@ class ThinningSimulator:
         """:meth:`path` for an ``x0`` already converted to a float array."""
         cfg = self.config
         rng = _rng_for_path(cfg.base_seed, path_index)
-        if self.dominating_rate <= 0.0:  # no jump ever arrives
-            times, jumps = np.empty(0), np.empty((0, self.kernel.d))
-        elif self.state_independent:
+        if self.state_independent and self.dominating_rate > 0.0:
             times, jumps = self._path_state_independent(rng, x0)
-        else:
-            times, jumps = self._path_sequential(rng, x0)
-        frac = self._si_fraction if self.state_independent \
-            else self._dropped_fraction(
-                *_visited_states(x0, times, jumps, cfg.t_end))
+            frac = self._si_fraction
+        else:  # at a zero dominating rate, x0 is the one state
+            times, jumps, frac = self._path_sequential(rng, x0)
         return Path(x0, cfg.t_end, times, jumps, frac,
                     (cfg.base_seed, path_index), cfg.epsilon)
 
@@ -270,42 +280,45 @@ class ThinningSimulator:
     def _path_sequential(self, rng, x0):
         t_end = self.config.t_end
         lam_bar = self.dominating_rate
-        times = []
-        jumps = []
+        times, jumps, fracs = [], [], []  # fracs: one per visited state
         t = 0.0
         x = x0.copy()
-        while True:
+        rates = None  # taken at the first proposal that lands at x
+        while lam_bar > 0.0:
             t += rng.exponential(1.0 / lam_bar)
             if t > t_end:
                 break
             if len(times) >= MAX_JUMPS:
                 raise JumpCapExceeded(
                     f"MAX_JUMPS = {MAX_JUMPS} jumps reached at t={t:.6g}")
-            rates = self._rates(x)
-            total = rates.sum()
-            p = total / lam_bar
-            if p > 1.0 + 1e-12:
-                raise EnvelopeViolation(
-                    f"acceptance probability {p:.6f} > 1 at state "
-                    f"{tuple(x.tolist())}; dominating rate undersized"
-                )
+            if rates is None:
+                rates, frac = self._state(x)
+                fracs.append(frac)
+                total = rates.sum()
+                p = total / lam_bar
+                if p > 1.0 + 1e-12:
+                    raise EnvelopeViolation(
+                        f"acceptance probability {p:.6f} > 1 at state "
+                        f"{tuple(x.tolist())}; dominating rate undersized"
+                    )
             u = rng.random()
             if u >= p:
                 continue
-            if len(self.samplers) == 1:
-                ci = 0
-            else:
-                ci = int(
-                    np.searchsorted(np.cumsum(rates) / total, rng.random())
-                )
-                ci = min(ci, len(self.samplers) - 1)
+            ci = 0
+            if len(self.samplers) > 1:
+                ci = min(len(self.samplers) - 1, int(np.searchsorted(
+                    np.cumsum(rates) / total, rng.random())))
             z = self.samplers[ci].draw(rng, x)
             times.append(t)
             jumps.append(z)
             x = x + z
-        if not times:
-            return np.empty(0), np.empty((0, self.kernel.d))
-        return np.array(times), np.array(jumps)
+            rates = None
+        if rates is None:  # no proposal landed at the final state
+            fracs.append(self._state(x)[1])
+        if not times:  # no jump: the one state's own fraction
+            return np.empty(0), np.empty((0, self.kernel.d)), fracs[0]
+        frac = float(np.dot(np.diff([0.0, *times, t_end]), fracs) / t_end)
+        return np.array(times), np.array(jumps), frac
 
     def ensemble(self, x0, n_paths, jobs=1, start=0):
         """Paths ``start`` to ``start + n_paths - 1``, simulated by

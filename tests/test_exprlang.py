@@ -245,3 +245,73 @@ class TestCompiler:
         for x in [(0.0, 0.0), (2.0, -2.0)]:
             assert kernel_copy.total_mass_tail(x, 0.1) == \
                 kernel.total_mass_tail(x, 0.1)
+
+
+class TestCoefficientMemo:
+    """A ``CoefficientFn`` remembers its value at the last float64 array
+    state; every call must still equal ``exprlang.evaluate``."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        evaluate = exprlang.evaluate
+
+        def recorded(expr, x):
+            calls.append(x)
+            return evaluate(expr, x)
+
+        monkeypatch.setattr(exprlang, "evaluate", recorded)
+        return calls
+
+    def test_a_state_is_evaluated_once(self, monkeypatch):
+        fn = coeffs.from_source("1 + x[1]^2", 1.0, math.inf)
+        calls = self.counted(monkeypatch)
+        x = np.array([0.5])
+        assert [fn(x), fn(x), fn(x.copy())] == [1.25] * 3
+        assert len(calls) == 1
+
+    def test_an_array_mutated_in_place_is_a_new_state(self):
+        fn = coeffs.from_source("1 + x[1]^2", 1.0, math.inf)
+        x = np.array([0.5])
+        assert fn(x) == exprlang.evaluate(fn.expr, x) == 1.25
+        x[0] = 2.0
+        assert fn(x) == exprlang.evaluate(fn.expr, x) == 5.0
+
+    def test_signed_zeros_are_keyed_apart(self):
+        fn = coeffs.from_source("2*x[1]", -math.inf, math.inf)
+        for v in (0.0, -0.0, 0.0):
+            x = np.array([v])
+            got, want = fn(x), exprlang.evaluate(fn.expr, x)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want) \
+                == math.copysign(1.0, v)
+
+    def test_errors_are_not_remembered(self):
+        fn = coeffs.from_source("log(x[1])", -math.inf, math.inf)
+        good, bad = np.array([2.0]), np.array([-1.0])
+        assert fn(good) == math.log(2.0)
+        for _ in range(2):
+            with pytest.raises(DomainError,
+                               match="log of non-positive value -1.0"):
+                fn(bad)
+        assert fn(good) == math.log(2.0)
+
+    @pytest.mark.parametrize("x", [(0.5,), 0.5, np.float64(0.5),
+                                   np.array([0.5], dtype=np.float32)],
+                             ids=["tuple", "float", "float64", "float32"])
+    def test_other_states_bypass_the_memo(self, monkeypatch, x):
+        fn = coeffs.from_source("1 + x[1]^2", 1.0, math.inf)
+        fn(np.array([0.5]))
+        calls = self.counted(monkeypatch)
+        assert fn(x) == fn(x) == exprlang.evaluate(fn.expr, x) == 1.25
+        assert len(calls) == 3
+
+    def test_pickled_copy_evaluates_the_same(self):
+        # --jobs pickles the simulator, and its kernel's coefficients with
+        # whatever state they last saw
+        fn = coeffs.from_source("1 + 0.5/(1 + |x|^2)", 1.0, 1.5)
+        seen = np.array([0.3, -0.4])
+        fn(seen)
+        copy = pickle.loads(pickle.dumps(fn))
+        assert copy == fn
+        for x in (seen, np.array([1.0, 2.0]), seen):
+            assert copy(x) == fn(x) == exprlang.evaluate(fn.expr, x)

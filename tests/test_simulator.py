@@ -3,6 +3,7 @@
 import io
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ class TestSimConfig:
             with pytest.raises(ValueError, match=r"base_seed must lie in "
                                                  r"\[0, 2\^64\)"):
                 cfg(base_seed=seed)
+
+    @pytest.mark.parametrize("seed, index, message", [
+        (-1, 0, "base_seed must lie in [0, 2^64), got -1"),
+        (2**64, 0, "base_seed must lie in [0, 2^64), got 18446744073709551616"),
+        (0, -1, "path_index must lie in [0, 2^64), got -1"),
+    ], ids=["negative_seed", "seed_past_2^64", "negative_index"])
+    def test_path_key_bounds(self, seed, index, message):
+        # the direct sampler and a single path take a raw seed or index,
+        # which no SimConfig has checked
+        with pytest.raises(ValueError) as exc:
+            sample_compound_poisson_direct(ATOMS, (0.0,), 1.0, seed, index)
+        assert str(exc.value) == message
+        if seed == 0:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ThinningSimulator(ATOMS, cfg()).path((0.0,), index)
 
 
 class TestDeterminism:
@@ -387,6 +403,62 @@ class TestDroppedVariance:
             # closed form: dropped variance fraction = eps = 0.01 for alpha=1
             assert p.dropped_variance_fraction == pytest.approx(0.01,
                                                                 rel=1e-6)
+
+
+    @staticmethod
+    def swept_fraction(kernel, path):
+        """The fraction as a sweep over the visited states after the path
+        took it: each state's dropped variance over its second moment,
+        weighted by its holding time."""
+        states, holds = simulator._visited_states(
+            path.x0, path.jump_times, path.jump_vectors, path.t_end)
+        # the states as the simulator reaches them, one jump at a time;
+        # from x0 = 0 the cumulative sums above round the same way
+        walked = [path.x0]
+        for z in path.jump_vectors:
+            walked.append(walked[-1] + z)
+        if not path.x0.any():
+            assert states.tobytes() == np.array(walked).tobytes()
+        fracs = []
+        for x in walked:
+            trace = kernel.second_moment(x).value
+            fracs.append(0.0 if trace <= 0 else kernel.dropped_variance(
+                x, path.epsilon).value / trace)
+        if len(fracs) == 1:
+            return fracs[0]
+        return float(np.dot(holds, fracs) / path.t_end)
+
+    @pytest.mark.parametrize("case", ["jumps", "no_jump", "zero_rate",
+                                      "x0_off_origin"])
+    def test_fraction_is_the_state_average(self, case):
+        bump = coeffs.inverse_quadratic_bump(1.0, 0.5)
+        small = StableLikeSmall(bump, bump)
+        big = BigJumpPowerLaw(coeffs.constant(1.0), coeffs.constant(3.0))
+        t_end, x0 = 1.0, 0.0
+        if case == "no_jump":
+            t_end = 1e-6
+        elif case == "zero_rate":
+            # a state-dependent kernel of zero mass: no proposal, and a
+            # second moment of 0
+            small = StableLikeSmall(coeffs.from_source("0*|x|", 0.0, 0.0),
+                                    bump)
+            big = BigJumpPowerLaw(coeffs.constant(0.0), coeffs.constant(3.0))
+        elif case == "x0_off_origin":
+            x0 = 0.3
+        kernel = KernelSpec(1, (small, big))
+        sim = ThinningSimulator(kernel, cfg(t_end=t_end, epsilon=0.05),
+                                [(v,) for v in np.linspace(-3.0, 3.0, 13)])
+        assert not sim.state_independent
+        assert (sim.dominating_rate == 0.0) == (case == "zero_rate")
+        jumps = case in ("jumps", "x0_off_origin")
+        fracs = set()
+        for p in sim.ensemble((x0,), 4).paths:
+            assert (p.n_jumps > 0) == jumps
+            assert p.dropped_variance_fraction \
+                == self.swept_fraction(kernel, p)
+            fracs.add(p.dropped_variance_fraction)
+        # without a jump, every path has x0's own fraction
+        assert len(fracs) == (4 if jumps else 1)
 
 
 class TestJumpCap:

@@ -230,3 +230,31 @@ def test_every_sim_field_is_a_config_key(monkeypatch):
              for key in p.asked.get("sim", ())}
     assert sorted(f.name for f in fields(SimConfig) if f.name not in asked) \
         == []
+
+
+def test_thinning_takes_each_state_once():
+    # a state-dependent path asks its kernel for the rates and the dropped
+    # fraction once per visited state, not once per proposal, and a
+    # component with constant coefficients once per simulator; the
+    # coefficients are evaluated once per state across those moments
+    out = _traced("""
+import json
+from jumplab import config, simulator
+cfg = config.load_config("configs/variable_order_d1.cfg")
+sim = simulator.ThinningSimulator(cfg.kernel, cfg.sim,
+                                  rate_grid=cfg.grid.points + (cfg.x0,))
+t.calls.clear()
+t.counts.clear()
+ens = sim.ensemble(cfg.x0, 20)
+print(json.dumps({
+    "states": sum(p.n_jumps for p in ens.paths) + ens.n_paths,
+    "varying": sum(not all(fn.is_constant() for fn in c.coefficients)
+                   for c in cfg.kernel.components),
+    "tail_mass": t.calls["kernels.tail_mass"],
+    "evals": t.calls["exprlang.evaluate"]}))
+""")
+    got = json.loads(out)
+    assert got["varying"] == 1
+    assert got["states"] > 100
+    assert got["tail_mass"] == got["states"] * got["varying"]
+    assert got["evals"] <= 3 * got["states"]
